@@ -10,15 +10,19 @@ why arithmetic on rationals is always definitive.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from fractions import Fraction
+from typing import Iterator
 
 from .constructors import rational_oracle
 from .errors import ZeroWitnessInvalid
-from .intervals import RInterval, format_rational
-from .oracle import Budget, Oracle, QueryResult
+from .intervals import RInterval
+from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
 
 _WITNESS_CHECK_BUDGET = Budget(64)
+_ZERO = Fraction(0)
+_UNSETTLED = RInterval(Fraction(-1), Fraction(1))
 
 
 class CompareResult(Enum):
@@ -28,62 +32,40 @@ class CompareResult(Enum):
     UNDECIDED = "Undecided"
 
 
-def _derived(
-    operands: Sequence[Oracle],
-    image: Callable[..., RInterval],
-    label: str,
-) -> Oracle:
-    def stream() -> Iterator[RInterval]:
-        known: list = []
-        for op in operands:
-            got = op._pull()
-            if got is None:
-                return
-            known.append(got)
-        yield image(*known)
-        turn = 0
-        while True:
-            got = operands[turn]._pull()
-            if got is None:
-                return
-            known[turn] = got
-            turn = (turn + 1) % len(operands)
-            yield image(*known)
+_ORDER = {
+    Placement.LESS: CompareResult.LESS,
+    Placement.GREATER: CompareResult.GREATER,
+    Placement.EQUAL: CompareResult.EQUAL_KNOWN,
+    Placement.EXHAUSTED: CompareResult.UNDECIDED,
+}
 
-    return Oracle(stream, label=label)
+
+def _node(operands, image, label: str) -> Oracle:
+    # Exact interval arithmetic maps the roots' singletons to the singleton
+    # of the exact value, so rooted operands give a rational oracle.
+    if all(op.root is not None for op in operands):
+        return rational_oracle(image(*(op.enclosure for op in operands)).lo)
+    return node_oracle(operands, image, label)
 
 
 def o_neg(x: Oracle) -> Oracle:
-    if x.root is not None:
-        return rational_oracle(-x.root)
-    return _derived([x], RInterval.neg, f"-({x.label})")
+    return _node((x,), RInterval.neg, f"-({x.label})")
 
 
 def o_add(x: Oracle, y: Oracle) -> Oracle:
-    rx, ry = x.root, y.root
-    if rx is not None and ry is not None:
-        return rational_oracle(rx + ry)
-    return _derived([x, y], RInterval.add, f"({x.label} + {y.label})")
+    return _node((x, y), RInterval.add, f"({x.label} + {y.label})")
 
 
 def o_sub(x: Oracle, y: Oracle) -> Oracle:
-    rx, ry = x.root, y.root
-    if rx is not None and ry is not None:
-        return rational_oracle(rx - ry)
-    return _derived([x, y], RInterval.sub, f"({x.label} - {y.label})")
+    return _node((x, y), RInterval.sub, f"({x.label} - {y.label})")
 
 
 def o_mul(x: Oracle, y: Oracle) -> Oracle:
-    rx, ry = x.root, y.root
-    if rx is not None and ry is not None:
-        return rational_oracle(rx * ry)
-    return _derived([x, y], RInterval.mul, f"({x.label} * {y.label})")
+    return _node((x, y), RInterval.mul, f"({x.label} * {y.label})")
 
 
 def o_abs(x: Oracle) -> Oracle:
-    if x.root is not None:
-        return rational_oracle(abs(x.root))
-    return _derived([x], RInterval.absolute, f"|{x.label}|")
+    return _node((x,), RInterval.absolute, f"|{x.label}|")
 
 
 def o_recip(x: Oracle, witness: RInterval) -> Oracle:
@@ -94,28 +76,24 @@ def o_recip(x: Oracle, witness: RInterval) -> Oracle:
     can: a witness containing zero, or one the operand definitively
     excludes, is rejected here; a lie that only surfaces later is raised
     from the refinement stream the moment the operand separates from it.
+    A witness ending exactly at the operand's number (when x is not rooted)
+    still refines, but the result is never rooted (see ``clamp_to``).
     """
     if witness.lo <= 0 <= witness.hi:
         raise ZeroWitnessInvalid(f"witness {witness} contains 0")
-    root = x.root
-    if root is not None:
-        if not witness.contains(root):
-            raise ZeroWitnessInvalid(
-                f"witness {witness} excludes the operand's value {format_rational(root)}"
-            )
-        return rational_oracle(1 / root)
     if x.decide(witness, _WITNESS_CHECK_BUDGET) is QueryResult.NO:
         raise ZeroWitnessInvalid(f"witness {witness} is not a Yes interval of {x.label}")
+    clamp = clamp_to(witness)
 
     def image(got: RInterval) -> RInterval:
-        clamped = got.intersection(witness)
+        clamped = clamp(got)
         if clamped is None:
             raise ZeroWitnessInvalid(
                 f"operand {x.label} refined to {got}, disjoint from witness {witness}"
             )
         return clamped.recip()
 
-    return _derived([x], image, f"1/({x.label})")
+    return _node((x,), image, f"1/({x.label})")
 
 
 def compare(x: Oracle, y: Oracle, budget: Budget) -> CompareResult:
@@ -124,38 +102,29 @@ def compare(x: Oracle, y: Oracle, budget: Budget) -> CompareResult:
     LESS and GREATER are definitive and stable under larger budgets.
     EQUAL_KNOWN is only reported when both roots are known and coincide;
     otherwise equality is never decided and the search ends in UNDECIDED.
+
+    The answer is where x - y lies relative to 0. Each budget step refines
+    one side: x and y in turn, or only the side whose root is unknown.
     """
-    steps = budget.steps
-    known_x = x._best
-    known_y = y._best
-    turn = 0
-    while True:
-        rx, ry = x.root, y.root
-        if rx is not None and ry is not None:
-            if rx < ry:
-                return CompareResult.LESS
-            if rx > ry:
-                return CompareResult.GREATER
-            return CompareResult.EQUAL_KNOWN
-        if rx is not None and known_x is None:
-            known_x = RInterval(rx, rx)
-        if ry is not None and known_y is None:
-            known_y = RInterval(ry, ry)
-        if known_x is not None and known_y is not None:
-            if known_x.hi < known_y.lo:
-                return CompareResult.LESS
-            if known_y.hi < known_x.lo:
-                return CompareResult.GREATER
-        if steps <= 0:
-            return CompareResult.UNDECIDED
-        steps -= 1
-        pull_x = rx is None and (turn % 2 == 0 or ry is not None)
-        if pull_x:
-            known_x = x._pull()
-            if known_x is None:
-                return CompareResult.UNDECIDED
-        else:
-            known_y = y._pull()
-            if known_y is None:
-                return CompareResult.UNDECIDED
-        turn += 1
+    kx, ky = x.enclosure, y.enclosure
+    if kx is not None and ky is not None:
+        if kx.hi < ky.lo:
+            return CompareResult.LESS
+        if ky.hi < kx.lo:
+            return CompareResult.GREATER
+    rx, ry = x.root, y.root
+    exact = None if rx is None or ry is None else rx - ry
+    race = Oracle(lambda: _race(x, y), root=exact, label="compare")
+    return _ORDER[race.locate(_ZERO, budget)]
+
+
+def _race(x: Oracle, y: Oracle) -> Iterator[RInterval]:
+    xs, ys = x.refiner(), y.refiner()
+    for turn in itertools.count():
+        side = xs if x.root is None and (turn % 2 == 0 or y.root is not None) else ys
+        if next(side, None) is None:
+            return
+        kx, ky = x.enclosure, y.enclosure
+        # Until both sides have an enclosure, a stand-in around 0 keeps
+        # each step at one pull without settling anything.
+        yield _UNSETTLED if kx is None or ky is None else kx.sub(ky)

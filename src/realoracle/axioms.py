@@ -95,7 +95,7 @@ class _Sampler:
         if base is None:
             base = oracle.refine(Fraction(4), budget)
         if base is None:
-            base = oracle._pull()
+            base = next(oracle.refiner(), None)
         if base is None:
             base = RInterval(Fraction(-1), Fraction(1))
         self.base = base

@@ -460,7 +460,7 @@ def _cmd_eval(args) -> int:
         enclosure = to_decimal(oracle, args.digits, budget)
     except BudgetExhausted as stop:
         if args.json:
-            best = oracle._pull()
+            best = oracle.enclosure
             payload = {"status": "exhausted", "budget": args.budget}
             if best is not None:
                 payload["lo"] = format_rational(best.lo)

@@ -41,27 +41,10 @@ _ROOT_PROBE_STEPS = 32
 def rational_oracle(q: RationalLike) -> Oracle:
     """The oracle of a rational: an interval is Yes iff it contains ``q``."""
     value = as_rational(q)
-
-    def rule(interval: RInterval) -> QueryResult:
-        return _YES if interval.lo <= value <= interval.hi else _NO
-
-    def hint(point: Fraction) -> Placement:
-        if value < point:
-            return Placement.LESS
-        if value > point:
-            return Placement.GREATER
-        return Placement.EQUAL
-
-    def stream() -> Iterator[RInterval]:
-        singleton = RInterval(value, value)
-        while True:
-            yield singleton
-
+    # Every query on a known root is answered from the root itself.
     return Oracle(
-        stream,
+        None,
         root=value,
-        locate_hint=hint,
-        partial_rule=rule,
         label=f"rational({format_rational(value)})",
     )
 
@@ -169,17 +152,8 @@ def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
             return Placement.LESS
         return Placement.EQUAL
 
-    if root is not None:
-        def stream() -> Iterator[RInterval]:
-            singleton = RInterval(root, root)
-            while True:
-                yield singleton
-    else:
-        def stream() -> Iterator[RInterval]:
-            return _nth_root_stream(num, den, n)
-
     return Oracle(
-        stream,
+        None if root is not None else lambda: _nth_root_stream(num, den, n),
         root=root,
         locate_hint=hint,
         partial_rule=rule,
@@ -243,6 +217,21 @@ def _probe_rational_root(hint, lo: Fraction, hi: Fraction, steps: int) -> Option
     return None
 
 
+def _bisection(lo: Fraction, hi: Fraction, side: Callable[[Fraction], int]) -> Iterator[RInterval]:
+    # Halve lo:hi for ever. side(mid) is -1 when the number lies above mid,
+    # +1 when below, and 0 when it is mid: then both ends move there, and
+    # the oracle takes the singleton as its root and pulls no further.
+    while True:
+        enclosure = _interval_raw(lo, hi)
+        yield enclosure
+        mid = enclosure.midpoint()
+        where = side(mid)
+        if where <= 0:
+            lo = mid
+        if where >= 0:
+            hi = mid
+
+
 def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     """The zero of a function bracketed by a sign change on [a, b].
 
@@ -288,25 +277,12 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     else:
         root = _probe_rational_root(hint, lo, hi, _ROOT_PROBE_STEPS)
 
-    def stream() -> Iterator[RInterval]:
-        x, y = lo, hi
-        sx = sign_lo
-        yield RInterval(x, y)
-        while x < y:
-            mid = RInterval(x, y).midpoint()
-            sm = f.eval_sign(mid)
-            if sm == 0:
-                x = y = mid
-            elif sm == sx:
-                x = mid
-            else:
-                y = mid
-            yield RInterval(x, y)
-        while True:
-            yield RInterval(x, y)
+    def side(mid: Fraction) -> int:
+        s = f.eval_sign(mid)
+        return 0 if s == 0 else -1 if s == sign_lo else 1
 
     return Oracle(
-        stream,
+        lambda: _bisection(lo, hi, side),
         root=root,
         locate_hint=hint,
         partial_rule=rule,
@@ -386,6 +362,9 @@ def lub_oracle(test: UpperBoundTest) -> Oracle:
     if test.is_ub(member):
         # A member-side point that already bounds the set is the lub itself.
         root = member
+    elif member > bound:
+        raise InvalidBounds(f"upper-bound test is not monotone: it fails at {format_rational(member)}, "
+                            f"above the seed bound {format_rational(bound)}")
 
     def partial(interval: RInterval) -> Optional[QueryResult]:
         if not test.is_ub(interval.hi):
@@ -394,19 +373,11 @@ def lub_oracle(test: UpperBoundTest) -> Oracle:
             return _YES
         return None
 
-    def stream() -> Iterator[RInterval]:
-        x, y = member, bound
-        yield RInterval(x, y)
-        while True:
-            mid = RInterval(x, y).midpoint()
-            if test.is_ub(mid):
-                y = mid
-            else:
-                x = mid
-            yield RInterval(x, y)
+    def side(mid: Fraction) -> int:
+        return 1 if test.is_ub(mid) else -1
 
     return Oracle(
-        stream,
+        lambda: _bisection(member, bound, side),
         root=root,
         partial_rule=partial,
         label=f"lub(seeds {format_rational(member)}, {format_rational(bound)})",

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 from .constructors import rational_oracle
 from .errors import DomainEscape, ZeroInDenominator
 from .intervals import RInterval, as_rational, format_rational
-from .oracle import Budget, Oracle, QueryResult
+from .oracle import Budget, Oracle, QueryResult, clamp_to, node_oracle
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
     The result refines by extending x's refinements. When x is rooted and
     the function evaluates exactly there, the result is rooted at that
     value. Raises :class:`DomainEscape` if a refinement of x separates from
-    the function's domain.
+    the function's domain. A domain ending exactly at an unrooted x still
+    refines, but the result is never rooted (see ``clamp_to``).
     """
     root = x.root
     if root is not None and fn.point is not None:
@@ -103,22 +104,19 @@ def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
                 f"{format_rational(root)} lies outside the domain {fn.domain} of {fn.description}"
             )
         return rational_oracle(fn.point(root))
+    clamp = None if fn.domain is None else clamp_to(fn.domain)
 
-    def stream() -> Iterator[RInterval]:
-        while True:
-            got = x._pull()
-            if got is None:
-                return
-            if fn.domain is not None:
-                clamped = got.intersection(fn.domain)
-                if clamped is None:
-                    raise DomainEscape(
-                        f"refinement {got} of {x.label} left the domain {fn.domain} of {fn.description}"
-                    )
-                got = clamped
-            yield fn.extension(got)
+    def image(got: RInterval) -> RInterval:
+        if clamp is not None:
+            clamped = clamp(got)
+            if clamped is None:
+                raise DomainEscape(
+                    f"refinement {got} of {x.label} left the domain {fn.domain} of {fn.description}"
+                )
+            got = clamped
+        return fn.extension(got)
 
-    return Oracle(stream, label=f"{fn.description}({x.label})")
+    return node_oracle((x,), image, f"{fn.description}({x.label})")
 
 
 def _horner_interval(coeffs, base: RInterval) -> RInterval:

@@ -15,6 +15,7 @@ cancelled, and dyadic numerators are reduced to odd-or-small first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -64,8 +65,17 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical text form: "p/q", with "/q" omitted when q is 1."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return int_text(q.numerator)
+    return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
+
+
+def int_text(n: int) -> str:
+    """``str(n)`` for any size of int: ``str`` refuses ints past the
+    interpreter's digit limit, ``Decimal`` formats them in full."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 # -- fast fraction plumbing --------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import BudgetExhausted, OracleError
-from .intervals import RInterval
+from .intervals import RInterval, int_text
 from .oracle import Budget, Oracle, Placement, QueryResult
 
 
@@ -253,11 +253,24 @@ class DecimalEnclosure:
 
 def _fixed_point(scaled: int, places: int) -> str:
     sign = "-" if scaled < 0 else ""
-    body = str(abs(scaled))
+    body = int_text(abs(scaled))
     if places == 0:
         return sign + body
     body = body.rjust(places + 1, "0")
     return f"{sign}{body[:-places]}.{body[-places:]}"
+
+
+def _last_place(known: RInterval, scale: int) -> Optional[Tuple[int, bool]]:
+    # The floor of the number at the last place, once the enclosure fixes
+    # it, and whether that is the number itself (a root that terminates).
+    lo = known.lo
+    scaled = lo.numerator * scale // lo.denominator
+    if known.is_singleton:
+        return scaled, lo.numerator * scale % lo.denominator == 0
+    hi = known.hi
+    if hi.numerator * scale // hi.denominator == scaled:
+        return scaled, False
+    return None
 
 
 def to_decimal(oracle: Oracle, digits: int, budget: Budget) -> DecimalEnclosure:
@@ -271,36 +284,16 @@ def to_decimal(oracle: Oracle, digits: int, budget: Budget) -> DecimalEnclosure:
     if digits < 0:
         raise ValueError("digit count must be nonnegative")
     scale = 10 ** digits
-    root = oracle.root
-    if root is None:
-        enclosure = oracle.refine(Fraction(1, scale * 100), budget)
-        if enclosure is None:
-            raise BudgetExhausted(
-                f"no width-1e-{digits + 2} enclosure of {oracle.label} "
-                f"within {budget.steps} steps"
-            )
-        root = oracle.root
-    if root is not None:
-        scaled = root.numerator * scale // root.denominator
-        exact = root.numerator * scale % root.denominator == 0
-        return DecimalEnclosure(_fixed_point(scaled, digits), digits, exact, Fraction(scaled, scale))
-    spare = budget.steps
-    while True:
-        lo_scaled = enclosure.lo.numerator * scale // enclosure.lo.denominator
-        hi_scaled = enclosure.hi.numerator * scale // enclosure.hi.denominator
-        if lo_scaled == hi_scaled:
-            return DecimalEnclosure(
-                _fixed_point(lo_scaled, digits), digits, False, Fraction(lo_scaled, scale)
-            )
-        if spare <= 0:
-            raise BudgetExhausted(
-                f"enclosure of {oracle.label} straddles a 1e-{digits} boundary; "
-                f"budget of {budget.steps} extra steps spent"
-            )
-        spare -= 1
-        pulled = oracle._pull()
-        if pulled is None:
-            raise BudgetExhausted(f"refinement of {oracle.label} stalled")
-        enclosure = pulled
-        if oracle.root is not None:
-            return to_decimal(oracle, digits, budget)
+    if oracle.root is None and oracle.refine(Fraction(1, scale * 100), budget) is None:
+        raise BudgetExhausted(
+            f"no width-1e-{digits + 2} enclosure of {oracle.label} "
+            f"within {budget.steps} steps"
+        )
+    got = oracle._settle(_last_place, scale, budget.steps)
+    if got is None:
+        raise BudgetExhausted(
+            f"enclosure of {oracle.label} straddles a 1e-{digits} boundary; "
+            f"budget of {budget.steps} extra steps spent"
+        )
+    scaled, exact = got
+    return DecimalEnclosure(_fixed_point(scaled, digits), digits, exact, Fraction(scaled, scale))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,10 +15,11 @@ from realoracle.arithmetic import (
     o_recip,
     o_sub,
 )
-from realoracle.constructors import nth_root_oracle, rational_oracle
+from realoracle.constructors import UpperBoundTest, lub_oracle, nth_root_oracle, rational_oracle
 from realoracle.errors import ZeroWitnessInvalid
 from realoracle.intervals import RInterval, interval_make
 from realoracle.oracle import Budget, QueryResult
+from realoracle.refine import to_decimal
 
 AMPLE = Budget(400)
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -179,3 +181,32 @@ class TestOperatorSugar:
         assert got.lo <= 2 <= got.hi
         assert (-rational_oracle(3)).root == -3
         assert abs(rational_oracle(-3)).root == 3
+
+
+class TestClampMakesNoRoot:
+    def test_lying_witness_ending_at_a_truncation_raises(self):
+        # s is sqrt(2) truncated to 100 bits, so the witness 1:s ends just
+        # below the operand. Cutting the operand's enclosure s:s+2^-100 down
+        # to the witness leaves the point s, which must not become a root.
+        s = F(math.isqrt(2 * 4**100), 2**100)
+        r = o_recip(o_mul(sqrt2(), rational_oracle(1)), interval_make(1, s))
+        with pytest.raises(ZeroWitnessInvalid):
+            to_decimal(r, 40, Budget(1000))
+        assert r.root is None
+
+    def test_true_witness_ending_at_the_value_still_refines(self):
+        # The bisection enclosures 1-2^-n:1 of the number 1 never reach the
+        # point 1, so every cut to the witness 1:2 is that point. The
+        # result refines towards 1 without being rooted there.
+        x = lub_oracle(UpperBoundTest(lambda u: u >= 1, F(0), F(2)))
+        r = o_recip(x, interval_make(1, 2))
+        got = r.refine(F(1, 10**6), Budget(100))
+        assert got is not None and got.lo <= 1 <= got.hi
+        assert r.root is None
+
+    def test_cuts_to_a_point_stay_nested(self):
+        x = lub_oracle(UpperBoundTest(lambda u: u >= 1, F(0), F(2)))
+        r = o_recip(x, interval_make(1, 3))
+        seen = [got for got, _ in zip(r.refiner(), range(40))]
+        assert all(a.encloses(b) for a, b in zip(seen, seen[1:]))
+        assert seen[-1].width < F(1, 10**9)

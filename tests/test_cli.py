@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -19,6 +20,8 @@ from realoracle.cli import (
     run_command,
 )
 from realoracle.errors import ExprSemanticError, ExprSyntaxError
+from realoracle.intervals import interval_make
+from realoracle.oracle import FonsiSource, oracle_from_fonsi
 
 
 class TestParse:
@@ -212,3 +215,47 @@ class TestBuildOracle:
 
         got = oracle.refine(F(1, 10**10), Budget(200))
         assert got.lo**2 <= F(1, 2) <= got.hi**2
+
+
+class TestLongOutput:
+    def test_eval_text_5000_places(self, capsys):
+        code = run_command(["eval", "2/3", "--digits", "5000"])
+        assert code == 0
+        assert capsys.readouterr().out == "0." + "6" * 5000 + " ± 1e-5000\n"
+
+    def test_eval_json_5000_places(self, capsys):
+        code = run_command(["eval", "2/3", "--digits", "5000", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        # 0.666...6 = 333...3/(5 * 10^4999), and one unit more is 666...7/10^5000.
+        assert payload["lo"] == "3" * 5000 + "/5" + "0" * 4999
+        assert payload["hi"] == "6" * 4999 + "7/1" + "0" * 5000
+
+    def test_eval_json_negative_5000_places(self, capsys):
+        code = run_command(["eval", "(-2/3)", "--digits", "5000", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        # The floor at the last place is -666...67/10^5000; one unit more is
+        # -666...66/10^5000 = -333...3/(5 * 10^4999).
+        assert payload["lo"] == "-" + "6" * 4999 + "7/1" + "0" * 5000
+        assert payload["hi"] == "-" + "3" * 5000 + "/5" + "0" * 4999
+
+
+class TestJsonExhaustion:
+    def test_reports_the_held_enclosure_without_pulling_again(self, capsys, monkeypatch):
+        pulled = []
+
+        def enumerate_slowly():
+            for n in itertools.count(1):
+                pulled.append(n)
+                yield interval_make(-F(1, n), F(1, n))
+
+        monkeypatch.setattr(
+            "realoracle.cli.build_oracle",
+            lambda node: oracle_from_fonsi(FonsiSource(enumerate_slowly())),
+        )
+        code = run_command(["eval", "0", "--digits", "6", "--budget", "5", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert len(pulled) == 5
+        assert payload == {"status": "exhausted", "budget": 5, "lo": "-1/5", "hi": "1/5"}

@@ -263,3 +263,11 @@ class TestAxiomSuiteOnConstructors:
     def test_no_falsifications(self, make):
         reports = check_axioms(make(), sampler_seed=7, samples=120, budget=Budget(64))
         assert all(r.verdict is not Verdict.FALSIFIED for r in reports), [str(r) for r in reports]
+
+
+class TestLubSeedOrder:
+    def test_member_above_bound_rejected(self):
+        # Only a test that is not monotone can fail at a point above one
+        # where it holds; bisecting such seeds would misorder endpoints.
+        with pytest.raises(InvalidBounds):
+            lub_oracle(UpperBoundTest(is_ub=lambda u: u == 1, seed_member=F(2), seed_bound=F(1)))

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from realoracle.arithmetic import CompareResult, compare, o_mul, o_recip
-from realoracle.constructors import nth_root_oracle, rational_oracle
+from realoracle.constructors import UpperBoundTest, lub_oracle, nth_root_oracle, rational_oracle
 from realoracle.errors import DomainEscape, ZeroInDenominator
 from realoracle.functions import (
     Rectangle,
@@ -183,3 +184,24 @@ class TestApply:
             delta = fn.modulus(want, interval_make(2, 5))
             base = interval_make(3, min(3 + delta, F(5)))
             assert fn.extension(base).width <= want
+
+
+class TestApplyClampMakesNoRoot:
+    def test_domain_ending_at_a_truncation_raises(self):
+        # The domain 1:s ends just below sqrt(2); an enclosure s:s+2^-100
+        # cut down to it must not pin the argument to s.
+        s = F(math.isqrt(2 * 4**100), 2**100)
+        x = o_mul(nth_root_oracle(2, 2), rational_oracle(1))
+        fx = apply(recip_extension(interval_make(1, s)), x)
+        with pytest.raises(DomainEscape):
+            fx.refine(F(1, 10**40), Budget(1000))
+        assert fx.root is None
+
+    def test_domain_ending_at_the_argument_still_refines(self):
+        # x is 1, approached from below, so its enclosures only ever touch
+        # the domain 1:2 at the point 1.
+        x = lub_oracle(UpperBoundTest(lambda u: u >= 1, F(0), F(2)))
+        fx = apply(recip_extension(interval_make(1, 2)), x)
+        got = fx.refine(F(1, 10**6), Budget(100))
+        assert got is not None and got.lo <= 1 <= got.hi
+        assert fx.root is None

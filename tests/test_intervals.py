@@ -174,3 +174,12 @@ class TestRationalPlumbing:
     @given(n=st.integers(min_value=-10**9, max_value=10**9), k=st.integers(min_value=0, max_value=80))
     def test_dyadic_matches_fraction(self, n, k):
         assert dyadic(n, k) == F(n, 2**k)
+
+
+class TestLongText:
+    # Beyond the interpreter's default limit of 4300 digits for str(int).
+    def test_large_ints_both_signs(self):
+        n = 10**5000 // 7
+        digits = "142857" * 833 + "14"
+        assert format_rational(F(n)) == digits
+        assert format_rational(F(-n, 3)) == "-" + digits + "/3"

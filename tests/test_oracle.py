@@ -208,3 +208,22 @@ class TestInvariants:
         chain = list(itertools.islice(o.refiner(), 20))
         for prev, nxt in zip(chain, chain[1:]):
             assert prev.encloses(nxt)
+
+
+class TestStickyErrors:
+    def broken(self):
+        return oracle_from_fonsi(FonsiSource(iter([interval_make(0, 1), interval_make(2, 3)])))
+
+    def test_refine_raises_every_time(self):
+        o = self.broken()
+        for _ in range(3):
+            with pytest.raises(InvalidFonsi):
+                o.refine(F(1, 1000), Budget(5))
+
+    def test_decide_raises_after_refine_did(self):
+        o = self.broken()
+        with pytest.raises(InvalidFonsi):
+            o.refine(F(1, 1000), Budget(5))
+        for _ in range(2):
+            with pytest.raises(InvalidFonsi):
+                o.decide(interval_make(F(1, 2), 1), Budget(5))

@@ -233,3 +233,21 @@ class TestToDecimal:
         got = to_decimal(o, 12, AMPLE)
         half_width = F(1, 10**12)
         assert o.decide(interval_make(got.value, got.value + half_width), AMPLE).value == "Yes"
+
+
+class TestLongOutput:
+    # Beyond the interpreter's default limit of 4300 digits for str(int).
+    def test_rational_to_5000_places(self):
+        got = to_decimal(rational_oracle(F(2, 3)), 5000, Budget(1))
+        assert got.digits_text == "0." + "6" * 5000
+
+    def test_negative_rational_to_5000_places(self):
+        got = to_decimal(rational_oracle(F(-2, 3)), 5000, Budget(1))
+        assert got.digits_text == "-0." + "6" * 4999 + "7"
+        assert got.value == F(-(2 * 10**5000 + 1) // 3, 10**5000)
+
+    def test_root_to_4400_places(self):
+        got = to_decimal(sqrt2(), 4400, Budget(20000))
+        scale = 10**4400
+        assert got.value == F(math.isqrt(2 * scale * scale), scale)
+        assert got.digits_text.startswith("1.41421356237") and len(got.digits_text) == 4402

@@ -1,0 +1,81 @@
+"""Guards on how the package is put together, and on the pull schedule."""
+
+import re
+from fractions import Fraction as F
+from pathlib import Path
+
+import realoracle
+from realoracle.arithmetic import CompareResult, compare, o_add, o_mul
+from realoracle.constructors import rational_oracle
+from realoracle.intervals import interval_make
+from realoracle.oracle import Budget, FonsiSource, oracle_from_fonsi
+
+PACKAGE = Path(realoracle.__file__).parent
+
+
+def test_only_oracle_module_touches_the_stream_state():
+    # Every budgeted pull goes through Oracle; other modules use its
+    # queries, refiner() and enclosure instead of the private state.
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "oracle.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\._(pull|best)\b", line)
+    ]
+    assert offenders == []
+
+
+class Counting:
+    """A fonsi leaf around ``center`` that counts how often it is pulled."""
+
+    def __init__(self, center):
+        self.pulls = 0
+        self.oracle = oracle_from_fonsi(FonsiSource(self._enumerate(center)))
+
+    def _enumerate(self, center):
+        width = F(1)
+        while True:
+            self.pulls += 1
+            yield interval_make(center - width, center + width)
+            width /= 2
+
+
+def pulls(*leaves):
+    return tuple(leaf.pulls for leaf in leaves)
+
+
+def test_node_pulls_every_operand_first_then_round_robin():
+    a, b, c = Counting(F(1)), Counting(F(2)), Counting(F(3))
+    node = o_mul(o_add(a.oracle, b.oracle), c.oracle)
+    stream = node.refiner()
+    seen = []
+    for _ in range(7):
+        next(stream)
+        seen.append(pulls(a, b, c))
+    # The outer node pulls (a + b) then c on its first pull, and the inner
+    # node pulls a then b on its own first pull. Later pulls alternate
+    # between (a + b), which advances a or b in turn, and c.
+    assert seen == [
+        (1, 1, 1),
+        (2, 1, 1),
+        (2, 1, 2),
+        (2, 2, 2),
+        (2, 2, 3),
+        (3, 2, 3),
+        (3, 2, 4),
+    ]
+
+
+def test_compare_spends_one_pull_per_step_starting_with_x():
+    x, y = Counting(F(1)), Counting(F(5))
+    assert compare(x.oracle, y.oracle, Budget(1)) is CompareResult.UNDECIDED
+    assert pulls(x, y) == (1, 0)
+    assert compare(x.oracle, y.oracle, Budget(2)) is CompareResult.LESS
+    assert pulls(x, y) == (2, 1)
+
+
+def test_compare_refines_only_the_side_without_a_root():
+    x = Counting(F(1))
+    assert compare(x.oracle, rational_oracle(F(3, 2)), Budget(3)) is CompareResult.LESS
+    assert pulls(x) == (3,)
