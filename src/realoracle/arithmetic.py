@@ -18,7 +18,7 @@ from typing import Iterator
 from .constructors import rational_oracle
 from .errors import ZeroWitnessInvalid
 from .intervals import RInterval
-from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
+from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, mag_bits, node_oracle
 
 _WITNESS_CHECK_BUDGET = Budget(64)
 _ZERO = Fraction(0)
@@ -40,32 +40,47 @@ _ORDER = {
 }
 
 
-def _node(operands, image, label: str) -> Oracle:
+def _node(operands, image, label: str, split) -> Oracle:
     # Exact interval arithmetic maps the roots' singletons to the singleton
     # of the exact value, so rooted operands give a rational oracle.
     if all(op.root is not None for op in operands):
         return rational_oracle(image(*(op.enclosure for op in operands)).lo)
-    return node_oracle(operands, image, label)
+    return node_oracle(operands, image, label, split)
+
+
+# Precision splits (see node_oracle): widths add under + and -, and
+# w(XY) <= wX * max|Y| + wY * max|X|.
+
+def _same(bits, x):
+    return (bits,)
+
+
+def _halves(bits, x, y):
+    return (bits + 1, bits + 1)
+
+
+def _by_magnitude(bits, x, y):
+    return (bits + 1 + mag_bits(y), bits + 1 + mag_bits(x))
 
 
 def o_neg(x: Oracle) -> Oracle:
-    return _node((x,), RInterval.neg, f"-({x.label})")
+    return _node((x,), RInterval.neg, f"-({x.label})", _same)
 
 
 def o_add(x: Oracle, y: Oracle) -> Oracle:
-    return _node((x, y), RInterval.add, f"({x.label} + {y.label})")
+    return _node((x, y), RInterval.add, f"({x.label} + {y.label})", _halves)
 
 
 def o_sub(x: Oracle, y: Oracle) -> Oracle:
-    return _node((x, y), RInterval.sub, f"({x.label} - {y.label})")
+    return _node((x, y), RInterval.sub, f"({x.label} - {y.label})", _halves)
 
 
 def o_mul(x: Oracle, y: Oracle) -> Oracle:
-    return _node((x, y), RInterval.mul, f"({x.label} * {y.label})")
+    return _node((x, y), RInterval.mul, f"({x.label} * {y.label})", _by_magnitude)
 
 
 def o_abs(x: Oracle) -> Oracle:
-    return _node((x,), RInterval.absolute, f"|{x.label}|")
+    return _node((x,), RInterval.absolute, f"|{x.label}|", _same)
 
 
 def o_recip(x: Oracle, witness: RInterval) -> Oracle:
@@ -93,7 +108,15 @@ def o_recip(x: Oracle, witness: RInterval) -> Oracle:
             )
         return clamped.recip()
 
-    return _node((x,), image, f"1/({x.label})")
+    # The cut lies in the witness and is at most twice as wide as the
+    # operand's enclosure, and |1/t| <= 2**e on the witness, so the image
+    # is at most 2 * wX * 2**(2 * e) wide.
+    extra = 1 + 2 * mag_bits(witness.recip())
+
+    def split(bits, got):
+        return (bits + extra,)
+
+    return _node((x,), image, f"1/({x.label})", split)
 
 
 def compare(x: Oracle, y: Oracle, budget: Budget) -> CompareResult:

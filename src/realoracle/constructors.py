@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidBounds, InvalidBracket, UnsupportedDomain
 from .intervals import (
@@ -57,7 +57,16 @@ def iroot(m: int, n: int) -> int:
         raise ValueError("iroot takes a nonnegative integer")
     if m < 2 or n == 1:
         return m
-    x = 1 << -(-m.bit_length() // n)  # overshoot seed
+    if n == 2:
+        return math.isqrt(m)
+    # Seed from a float logarithm, 2**-20 high: Newton then falls to the
+    # root in a few quadratic steps. The check keeps the seed an overshoot.
+    shift = max(0, m.bit_length() - 64)
+    lg = (math.log2(m >> shift) + shift) / n
+    k = max(0, int(lg) - 52)
+    x = (math.ceil(2 ** (lg - k + 2**-20)) + 1) << k
+    if x ** n <= m:
+        x = 1 << -(-m.bit_length() // n)
     while True:
         y = ((n - 1) * x + m // x ** (n - 1)) // n
         if y >= x:
@@ -80,35 +89,56 @@ def _exact_nth_root(q: Fraction, n: int) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def _nth_root_stream(num: int, den: int, n: int) -> Iterator[RInterval]:
-    # Dyadic digit recurrence: s is the largest integer with
-    # s**n * den <= num * 2**(n*k). Appending a bit needs only shifts and
-    # small-coefficient adds because (2s+b)**j expands binomially over the
-    # maintained powers P[j] = den * s**j.
-    s = iroot(num // den, n)
-    while (s + 1) ** n * den <= num:
-        s += 1
-    while s > 0 and s ** n * den > num:
-        s -= 1
-    powers = [den * s ** j for j in range(n + 1)]
-    scaled_num = num
-    binom = [[math.comb(j, i) for i in range(j + 1)] for j in range(n + 1)]
-    shift = 0
-    yield _interval_raw(dyadic(s, 0), dyadic(s + 1, 0))
-    while True:
-        shift += 1
-        scaled_num <<= n
+class _NthRootStream:
+    """Dyadic enclosures s/2**k : (s+1)/2**k of the n-th root of num/den, s
+    the largest integer with s**n * den <= num * 2**(n*k), for k = 0, 1, ...
+
+    ``seek(k)`` lands on shift k with one integer root. A one-bit step
+    appends a bit with shifts and small-coefficient adds only: (2s+b)**j
+    expands binomially over the maintained powers P[j] = den * s**j, which
+    are rebuilt after a seek. The binomial table, O(n**2) entries, is built
+    on the first one-bit step, which a stream that only seeks never takes.
+    """
+
+    def __init__(self, num: int, den: int, n: int):
+        self._num, self._den, self._n = num, den, n
+        self._scaled: Optional[int] = None  # num * 2**(n*k)
+        self._powers: Optional[List[int]] = None
+        self._binom: Optional[List[List[int]]] = None
+
+    def __iter__(self) -> "_NthRootStream":
+        return self
+
+    def seek(self, shift: int) -> RInterval:
+        self._shift = shift
+        self._scaled = self._num << (self._n * shift)
+        self._s = iroot(self._scaled // self._den, self._n)
+        self._powers = None
+        return self._enclosure()
+
+    def __next__(self) -> RInterval:
+        if self._scaled is None:
+            return self.seek(0)
+        n, s, powers, binom = self._n, self._s, self._powers, self._binom
+        if powers is None:
+            powers = [self._den * s ** j for j in range(n + 1)]
+        if binom is None:
+            binom = self._binom = [[math.comb(j, i) for i in range(j + 1)] for j in range(n + 1)]
+        self._scaled <<= n
+        self._shift += 1
         candidate = [
             sum(binom[j][i] * (powers[i] << i) for i in range(j + 1))
             for j in range(n + 1)
         ]
-        if candidate[n] <= scaled_num:
-            powers = candidate
-            s = 2 * s + 1
+        if candidate[n] <= self._scaled:
+            self._powers, self._s = candidate, 2 * s + 1
         else:
-            powers = [powers[j] << j for j in range(n + 1)]
-            s = 2 * s
-        yield _interval_raw(dyadic(s, shift), dyadic(s + 1, shift))
+            self._powers, self._s = [powers[j] << j for j in range(n + 1)], 2 * s
+        return self._enclosure()
+
+    def _enclosure(self) -> RInterval:
+        s, shift = self._s, self._shift
+        return _interval_raw(dyadic(s, shift), dyadic(s + 1, shift))
 
 
 def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
@@ -153,7 +183,7 @@ def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
         return Placement.EQUAL
 
     return Oracle(
-        None if root is not None else lambda: _nth_root_stream(num, den, n),
+        None if root is not None else lambda: _NthRootStream(num, den, n),
         root=root,
         locate_hint=hint,
         partial_rule=rule,
@@ -163,28 +193,76 @@ def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
 
 @dataclass(frozen=True)
 class SignFunction:
-    """An exactly evaluable sign rule: returns -1, 0, or +1 at any rational."""
+    """An exactly evaluable sign rule: returns -1, 0, or +1 at any rational.
+
+    ``coeffs`` holds a polynomial's coefficients (low to high) when the rule
+    is that polynomial's sign; None for an opaque rule.
+    """
 
     eval_sign: Callable[[Fraction], int]
     description: str = "f"
+    coeffs: Optional[Tuple[Fraction, ...]] = None
 
 
 def polynomial_sign(coeffs) -> SignFunction:
     """Sign function of a polynomial with rational coefficients (low to high)."""
     cs = tuple(as_rational(c) for c in coeffs)
+    high = cs[::-1]
 
     def sign(point: Fraction) -> int:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * point + c
-        if acc > 0:
-            return 1
-        if acc < 0:
-            return -1
-        return 0
+        value = _horner(high, point)
+        return (value > 0) - (value < 0)
 
     terms = ", ".join(format_rational(c) for c in cs)
-    return SignFunction(sign, f"poly[{terms}]")
+    return SignFunction(sign, f"poly[{terms}]", cs)
+
+
+def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    # Coefficients high to low, b[0] nonzero; the remainder has no leading zeros.
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        quotient.append(f)
+        a = [x - f * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    while a and not a[0]:
+        a.pop(0)
+    return quotient, a
+
+
+def _horner(poly: Sequence[Fraction], x: Fraction) -> Fraction:
+    # Coefficients high to low.
+    acc = Fraction(0)
+    for c in poly:
+        acc = acc * x + c
+    return acc
+
+
+def _distinct_zeros(coeffs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction) -> Optional[int]:
+    """How many distinct real zeros the polynomial (coefficients low to high)
+    has in [lo, hi]; None for the zero polynomial.
+
+    Sturm's theorem over exact rationals: the sequence p, p', -rem, ...
+    divided by its last member is the Sturm sequence of p's square-free
+    part, whose sign variations fall by one at each zero, from left to
+    right, and not at lo when it is a zero.
+    """
+    p = list(reversed(coeffs))
+    while p and not p[0]:
+        p.pop(0)
+    if not p:
+        return None
+    degree = len(p) - 1
+    chain = [p, [c * (degree - i) for i, c in enumerate(p[:-1])]]
+    while chain[-1]:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    chain = [_poly_divmod(poly, chain[-1])[0] for poly in chain]
+
+    def variations(x: Fraction) -> int:
+        values = [v for v in (_horner(poly, x) for poly in chain) if v]
+        return sum((u > 0) != (v > 0) for u, v in zip(values, values[1:]))
+
+    return variations(lo) - variations(hi) + (not _horner(chain[0], lo))
 
 
 def _probe_rational_root(hint, lo: Fraction, hi: Fraction, steps: int) -> Optional[Fraction]:
@@ -235,10 +313,12 @@ def _bisection(lo: Fraction, hi: Fraction, side: Callable[[Fraction], int]) -> I
 def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     """The zero of a function bracketed by a sign change on [a, b].
 
-    Requires the endpoint signs to differ or vanish, and the caller asserts
-    there is exactly one sign change inside the bracket. A subinterval x:y
-    of the bracket is Yes iff sign(f(x)) * sign(f(y)) <= 0; intervals beyond
-    the bracket inherit their answer from the piece they share with it.
+    Requires the endpoint signs to differ or vanish, and exactly one zero
+    in the bracket: a Sturm sequence counts the distinct zeros of a
+    :func:`polynomial_sign`, and for other sign functions the caller
+    asserts it. A subinterval x:y of the bracket is Yes iff
+    sign(f(x)) * sign(f(y)) <= 0; intervals beyond the bracket inherit
+    their answer from the piece they share with it.
     """
     lo, hi = as_rational(a), as_rational(b)
     if lo >= hi:
@@ -250,6 +330,11 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
             f"no sign change: sign at both ends of {format_rational(lo)}:{format_rational(hi)} is {sign_lo:+d}"
         )
     bracket = RInterval(lo, hi)
+    if f.coeffs is not None:
+        zeros = _distinct_zeros(f.coeffs, lo, hi)
+        if zeros != 1:
+            count = "infinitely many" if zeros is None else zeros
+            raise InvalidBracket(f"{f.description} has {count} distinct zeros in {bracket}, not one")
 
     def rule(interval: RInterval) -> QueryResult:
         clamped = interval.intersection(bracket)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .constructors import rational_oracle
 from .errors import DomainEscape, ZeroInDenominator
 from .intervals import RInterval, as_rational, format_rational
-from .oracle import Budget, Oracle, QueryResult, clamp_to, node_oracle
+from .oracle import Budget, Oracle, QueryResult, clamp_to, node_oracle, target_bits
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,13 @@ def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
             got = clamped
         return fn.extension(got)
 
-    return node_oracle((x,), image, f"{fn.description}({x.label})")
+    def split(bits: int, got: RInterval) -> Tuple[int]:
+        # Bases lie in the domain, or else in x's enclosure; a cut to the
+        # domain is at most twice as wide as x's enclosure.
+        base = fn.modulus(Fraction(2) ** -bits, got if fn.domain is None else fn.domain)
+        return (target_bits(base) + (clamp is not None),)
+
+    return node_oracle((x,), image, f"{fn.description}({x.label})", split)
 
 
 def _horner_interval(coeffs, base: RInterval) -> RInterval:

@@ -17,6 +17,14 @@ widths tend to zero. A known root answers every query, and constructors
 with an exact membership test (roots, zero brackets) install a direct rule,
 so such answers never consume budget. One budget step is one pull.
 
+A pull may carry a precision target: make the width at most ``2**-bits``.
+``refine`` pulls that way. A node splits the target into one target per
+operand, and a leaf takes several stream elements in that one pull, or
+seeks straight to the precision when its stream can. Such a pull is
+charged as many steps as the furthest it took a leaf (in elements, or in
+bits for a seeking stream), and never more than the budget left, so a
+budget takes a leaf no further than one-element pulls would.
+
 Oracles are safe to share between threads: stream pulls are serialized by a
 lock, and the cached narrowest interval only ever shrinks, so concurrent
 queries return consistent definitive answers.
@@ -24,12 +32,12 @@ queries return consistent definitive answers.
 
 from __future__ import annotations
 
-import itertools
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidFonsi
 from .intervals import RInterval, _interval_raw, format_rational
@@ -83,10 +91,15 @@ class Oracle:
     holds its ``operands`` and an ``image`` function that maps one enclosure
     per operand to an enclosure of the node's number. Its first pull pulls
     every operand once; each later pull advances one operand, round-robin.
+    A pull with a target instead pulls, with its own target from ``split``,
+    every operand that misses it, or every operand once if none does.
     """
 
     operands: Tuple["Oracle", ...] = ()
     image: Optional[Callable[..., RInterval]] = None
+    split: Optional[Callable[..., Tuple[int, ...]]] = None
+    _known: Optional[List[RInterval]] = None
+    _turn = 0
     _error: Optional[Exception] = None
 
     def __init__(
@@ -119,7 +132,10 @@ class Oracle:
 
     @property
     def enclosure(self) -> Optional[RInterval]:
-        """The current Yes interval, without pulling; None before any pull."""
+        """The current Yes interval, without pulling; None before any pull.
+        Raises the stream's error once it has raised one."""
+        if self._error is not None:
+            raise self._error
         return self._best
 
     # -- stream plumbing
@@ -131,41 +147,89 @@ class Oracle:
                 self._best = _interval_raw(value, value)
                 self._root = value
 
-    def _pull(self) -> Optional[RInterval]:
-        """Advance the refinement stream by one interval and return it.
+    def _pull(self, bits: Optional[int] = None, reach: Optional["_Reach"] = None) -> Optional[RInterval]:
+        """Advance the refinement by one step and return the new enclosure.
 
-        Once a root is known the stream is bypassed and the root singleton
-        is returned. A stream that ends simply stops making progress; pulls
-        then return the narrowest interval seen so far. An error raised by
-        the stream is kept and raised again by every later pull.
+        Without ``bits`` the step is one stream element, or one operand pull
+        for a node. With ``bits`` it aims at width ``2**-bits``, spending at
+        most ``reach``. Once a root is known the stream is bypassed and the
+        root singleton is returned. A stream that ends simply stops making
+        progress; pulls then return the narrowest interval seen so far. An
+        error raised by the stream is kept and raised again by every later
+        pull.
         """
         with self._lock:
             if self._root is not None:
                 return self._best
             if self._error is not None:
                 raise self._error
-            if self._iter is None:
-                if self.operands:
-                    self._iter = _node_stream(self.operands, self.image)
-                elif self._stream_factory is None:
-                    return self._best
-                else:
-                    self._iter = self._stream_factory()
             try:
-                nxt = next(self._iter)
+                nxt = self._node_step(bits, reach) if self.operands else self._leaf_step(bits, reach)
             except StopIteration:
-                return self._best
+                nxt = None
             except Exception as exc:
                 self._error = exc
                 raise
+            if nxt is None:
+                return self._best
             self._best = nxt
             if nxt.is_singleton:
                 self._root = nxt.lo
             return nxt
 
-    def _settle(self, verdict: Callable[[RInterval, Any], Any], query: Any, steps: int) -> Any:
-        """Pull until ``verdict(enclosure, query)`` gives an answer, at most
-        ``steps`` times; None if none came. The only loop that spends budget."""
+    def _leaf_step(self, bits: Optional[int], reach: Optional["_Reach"]) -> Optional[RInterval]:
+        it = self._iter
+        if it is None:
+            if self._stream_factory is None:
+                return None
+            it = self._iter = self._stream_factory()
+            return next(it)
+        got = self._best
+        if bits is None or got is None:
+            return next(it)
+        have = precision(got)
+        seek = getattr(it, "seek", None)
+        if seek is not None:
+            # A seeking stream jumps one bit per step it is charged.
+            goal = min(max(bits, have + 1), have + reach.steps)
+            reach.used = max(reach.used, goal - have)
+            return seek(goal)
+        taken = 0
+        for taken, got in enumerate(it, 1):
+            if taken == reach.steps or precision(got) >= bits:
+                break
+        reach.used = max(reach.used, taken)
+        return got
+
+    def _node_step(self, bits: Optional[int], reach: Optional["_Reach"]) -> Optional[RInterval]:
+        operands, known = self.operands, self._known
+        if known is None:
+            known = [op._pull() for op in operands]
+            if any(got is None for got in known):
+                return None
+            self._known = known
+        elif bits is None:
+            turn = self._turn
+            known[turn] = operands[turn]._pull()
+            self._turn = (turn + 1) % len(operands)
+        else:
+            wants = self.split(bits, *known)
+            missing = [i for i, want in enumerate(wants) if precision(known[i]) < want]
+            for i in missing:
+                known[i] = operands[i]._pull(wants[i], reach)
+            if not missing:
+                for i, op in enumerate(operands):
+                    known[i] = op._pull()
+        # An operand that has given an enclosure never pulls None again, and
+        # image runs once per step: clamp_to cuts keep state.
+        return self.image(*known)
+
+    def _settle(
+        self, verdict: Callable[[RInterval, Any], Any], query: Any, steps: int, bits: Optional[int] = None
+    ) -> Any:
+        """Pull until ``verdict(enclosure, query)`` gives an answer, spending
+        at most ``steps``; None if none came. With ``bits`` every pull aims
+        at width ``2**-bits``. The only loop that spends budget."""
         known = self._best
         while True:
             if known is not None:
@@ -174,8 +238,9 @@ class Oracle:
                     return answer
             if steps <= 0:
                 return None
-            steps -= 1
-            known = self._pull()
+            reach = _Reach(steps)
+            known = self._pull(bits, reach)
+            steps -= reach.used
             if known is None:
                 return None
 
@@ -186,6 +251,8 @@ class Oracle:
     # -- queries
 
     def decide(self, interval: RInterval, budget: Budget) -> QueryResult:
+        if self._error is not None:
+            raise self._error
         rule = self._partial_rule
         if rule is not None:
             verdict = rule(interval)
@@ -200,13 +267,15 @@ class Oracle:
         """A Yes interval of width at most ``width``, or None on exhaustion.
 
         Every call charges at least one step, so a zero budget always
-        returns None.
+        returns None. Its pulls aim straight at the width.
         """
         if width <= 0:
             raise ValueError("requested width must be positive")
+        if self._error is not None:
+            raise self._error
         if budget.steps <= 0:
             return None
-        return self._settle(_narrow_verdict, width, budget.steps)
+        return self._settle(_narrow_verdict, width, budget.steps, target_bits(width))
 
     def locate(self, point: Fraction, budget: Budget) -> Placement:
         """Place the oracle's number relative to ``point``.
@@ -214,6 +283,8 @@ class Oracle:
         GREATER means the number exceeds the point. EQUAL arises only when
         the point is the root, via an exact hint or known root.
         """
+        if self._error is not None:
+            raise self._error
         hint = self._locate_hint
         if hint is not None:
             placement = hint(point)
@@ -253,23 +324,63 @@ class Oracle:
         return o_abs(self)
 
 
-def node_oracle(operands: Sequence[Oracle], image: Callable[..., RInterval], label: str) -> Oracle:
-    """The node whose enclosures are ``image`` of its operands' enclosures."""
+def node_oracle(
+    operands: Sequence[Oracle],
+    image: Callable[..., RInterval],
+    label: str,
+    split: Callable[..., Tuple[int, ...]],
+) -> Oracle:
+    """The node whose enclosures are ``image`` of its operands' enclosures.
+
+    ``split(bits, *enclosures)`` gives one precision per operand: operand
+    enclosures nested in the given ones and of width at most
+    ``2**-precision`` must map to an image of width at most ``2**-bits``.
+    """
     node = Oracle(None, label=label)
     node.operands = tuple(operands)
     node.image = image
+    node.split = split
     return node
 
 
-def _node_stream(operands: Tuple[Oracle, ...], image: Callable[..., RInterval]) -> Iterator[RInterval]:
-    known = [op._pull() for op in operands]
-    if any(got is None for got in known):
-        return
-    yield image(*known)
-    # An operand that has given an enclosure never pulls None again.
-    for turn in itertools.cycle(range(len(operands))):
-        known[turn] = operands[turn]._pull()
-        yield image(*known)
+class _Reach:
+    """How far one pull may take a leaf, and what it spent: the furthest it
+    took one, and at least one step."""
+
+    __slots__ = ("steps", "used")
+
+    def __init__(self, steps: int):
+        self.steps = steps
+        self.used = 1
+
+
+def _log2_floor(num: int, den: int) -> int:
+    """floor(log2(num / den)) for positive integers, with no big shifts."""
+    e = num.bit_length() - den.bit_length()
+    at_least = num >> e >= den if e >= 0 else num >= -(-den >> -e)
+    return e if at_least else e - 1
+
+
+def target_bits(width: Fraction) -> int:
+    """The least ``bits`` with ``2**-bits`` at most the positive ``width``."""
+    return -_log2_floor(width.numerator, width.denominator)
+
+
+def precision(interval: RInterval) -> float:
+    """The largest ``bits`` with width at most ``2**-bits``; inf for a point."""
+    width = interval.width
+    if not width:
+        return math.inf
+    return _log2_floor(width.denominator, width.numerator)
+
+
+def mag_bits(interval: RInterval) -> int:
+    """The least ``e`` with every point of the interval at most ``2**e`` in
+    magnitude (0 for the point 0)."""
+    mag = max(-interval.lo, interval.hi)
+    if not mag:
+        return 0
+    return -_log2_floor(mag.denominator, mag.numerator)
 
 
 def clamp_to(region: RInterval) -> Callable[[RInterval], Optional[RInterval]]:

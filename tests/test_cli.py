@@ -259,3 +259,20 @@ class TestJsonExhaustion:
         assert code == 2
         assert len(pulled) == 5
         assert payload == {"status": "exhausted", "budget": 5, "lo": "-1/5", "hi": "1/5"}
+
+
+class TestPolyzeroWithSeveralZeros:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "polyzero(0,1,0,-1; -2, 2)"],
+            ["check", "polyzero(0,1,0,-1; -2, 2)", "--samples", "10"],
+            ["query", "polyzero(0,1,0,-1; -2, 2)", "0:1"],
+        ],
+        ids=["eval", "check", "query"],
+    )
+    def test_exits_one(self, argv, capsys):
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "3 distinct zeros" in captured.err

@@ -8,6 +8,7 @@ from realoracle.arithmetic import CompareResult, compare, o_mul
 from realoracle.axioms import Verdict, check_axioms
 from realoracle.constructors import (
     CauchySpec,
+    SignFunction,
     UpperBoundTest,
     cauchy_oracle,
     cauchy_tail_enclosures,
@@ -56,6 +57,17 @@ class TestIroot:
         for _ in range(500):
             m = rng.randrange(0, 10**12)
             assert iroot(m, 2) == math.isqrt(m)
+
+    def test_large_indices_and_radicands(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            n = rng.choice([3, 7, 30, 200, 400])
+            m = rng.getrandbits(rng.randint(1, 6000))
+            x = iroot(m, n)
+            assert x**n <= m < (x + 1) ** n
+        for n in (3, 200):
+            for base in (2, 3**100, 2**500 + 1):
+                assert [iroot(base**n + d, n) for d in (-1, 0, 1)] == [base - 1, base, base]
 
 
 class TestRationalOracle:
@@ -271,3 +283,48 @@ class TestLubSeedOrder:
         # where it holds; bisecting such seeds would misorder endpoints.
         with pytest.raises(InvalidBounds):
             lub_oracle(UpperBoundTest(is_ub=lambda u: u == 1, seed_member=F(2), seed_bound=F(1)))
+
+
+class TestIvtZeroCount:
+    def test_bracket_with_three_zeros_rejected(self):
+        with pytest.raises(InvalidBracket, match="3 distinct zeros"):
+            ivt_oracle(polynomial_sign([0, 1, 0, -1]), -2, 2)
+
+    def test_two_zeros_one_a_double_root_rejected(self):
+        # x**2 * (x - 1) changes sign only at 1, yet 0 is a zero too.
+        with pytest.raises(InvalidBracket, match="2 distinct zeros"):
+            ivt_oracle(polynomial_sign([0, 0, -1, 1]), -1, 2)
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(InvalidBracket, match="infinitely many"):
+            ivt_oracle(polynomial_sign([0]), 0, 1)
+
+    def test_one_zero_accepted_whatever_its_multiplicity(self):
+        assert ivt_oracle(polynomial_sign([-1, 3, -3, 1]), 0, 2).root == 1  # (x - 1)**3
+        assert ivt_oracle(polynomial_sign([-1, 0, 1]), 1, 2).root == 1  # zero at an end
+        assert ivt_oracle(polynomial_sign([-1, 0, 1]), 0, 1).root == 1
+
+    def test_sturm_count_matches_the_known_zeros(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            zeros = [F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            coeffs = [F(rng.choice([1, -2, 3]))]
+            for z in zeros:  # multiply by (x - z), low to high
+                coeffs = [-z * coeffs[0]] + [a - z * b for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+            if rng.random() < 0.5:  # times x**2 + 1, which has no real zero
+                coeffs = [a + b for a, b in itertools.zip_longest(coeffs + [0, 0], [0, 0] + coeffs, fillvalue=0)]
+            lo = F(rng.randint(-10, 9), rng.randint(1, 3))
+            hi = lo + F(rng.randint(1, 12), rng.randint(1, 3))
+            inside = len({z for z in zeros if lo <= z <= hi})
+            sign = polynomial_sign(coeffs)
+            if inside == 1 and sign.eval_sign(lo) * sign.eval_sign(hi) <= 0:
+                ivt_oracle(sign, lo, hi)
+            elif inside != 1:
+                with pytest.raises(InvalidBracket):
+                    ivt_oracle(sign, lo, hi)
+
+    def test_opaque_sign_function_is_the_callers_assertion(self):
+        poly = polynomial_sign([0, 1, 0, -1])
+        assert SignFunction(poly.eval_sign).coeffs is None
+        o = ivt_oracle(SignFunction(poly.eval_sign), -2, 2)
+        assert o.refine(F(1, 2**10), AMPLE) is not None

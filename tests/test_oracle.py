@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from realoracle.arithmetic import compare
 from realoracle.constructors import nth_root_oracle, rational_oracle
 from realoracle.errors import InvalidFonsi
 from realoracle.intervals import RInterval, interval_make
@@ -227,3 +228,35 @@ class TestStickyErrors:
         for _ in range(2):
             with pytest.raises(InvalidFonsi):
                 o.decide(interval_make(F(1, 2), 1), Budget(5))
+
+
+class TestStickyErrorsOverCachedAnswers:
+    def broken_after_refine(self):
+        o = oracle_from_fonsi(FonsiSource(iter([interval_make(0, 1), interval_make(2, 3)])))
+        with pytest.raises(InvalidFonsi):
+            o.refine(F(1, 1000), Budget(5))
+        return o
+
+    def test_decide_raises_where_the_cache_would_answer(self):
+        o = self.broken_after_refine()
+        with pytest.raises(InvalidFonsi):
+            o.decide(interval_make(0, 1), Budget(5))
+        with pytest.raises(InvalidFonsi):
+            o.decide(interval_make(0, 1), Budget(0))
+
+    def test_locate_raises_where_the_cache_would_answer(self):
+        o = self.broken_after_refine()
+        with pytest.raises(InvalidFonsi):
+            o.locate(F(5), Budget(5))
+
+    def test_refine_raises_where_the_cache_would_answer(self):
+        o = self.broken_after_refine()
+        with pytest.raises(InvalidFonsi):
+            o.refine(F(4), Budget(5))
+
+    def test_enclosure_and_compare_raise_where_the_cache_would_answer(self):
+        o = self.broken_after_refine()
+        with pytest.raises(InvalidFonsi):
+            o.enclosure
+        with pytest.raises(InvalidFonsi):
+            compare(o, rational_oracle(5), Budget(5))
