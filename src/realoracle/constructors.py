@@ -94,50 +94,30 @@ class _NthRootStream:
     the largest integer with s**n * den <= num * 2**(n*k), for k = 0, 1, ...
 
     ``seek(k)`` lands on shift k with one integer root. A one-bit step
-    appends a bit with shifts and small-coefficient adds only: (2s+b)**j
-    expands binomially over the maintained powers P[j] = den * s**j, which
-    are rebuilt after a seek. The binomial table, O(n**2) entries, is built
-    on the first one-bit step, which a stream that only seeks never takes.
+    needs one power: the next s is 2s + 1 or 2s.
     """
 
     def __init__(self, num: int, den: int, n: int):
         self._num, self._den, self._n = num, den, n
-        self._scaled: Optional[int] = None  # num * 2**(n*k)
-        self._powers: Optional[List[int]] = None
-        self._binom: Optional[List[List[int]]] = None
+        self._shift = -1
 
     def __iter__(self) -> "_NthRootStream":
         return self
 
-    def seek(self, shift: int) -> RInterval:
-        self._shift = shift
-        self._scaled = self._num << (self._n * shift)
-        self._s = iroot(self._scaled // self._den, self._n)
-        self._powers = None
-        return self._enclosure()
-
     def __next__(self) -> RInterval:
-        if self._scaled is None:
+        shift = self._shift + 1
+        if not shift:
             return self.seek(0)
-        n, s, powers, binom = self._n, self._s, self._powers, self._binom
-        if powers is None:
-            powers = [self._den * s ** j for j in range(n + 1)]
-        if binom is None:
-            binom = self._binom = [[math.comb(j, i) for i in range(j + 1)] for j in range(n + 1)]
-        self._scaled <<= n
-        self._shift += 1
-        candidate = [
-            sum(binom[j][i] * (powers[i] << i) for i in range(j + 1))
-            for j in range(n + 1)
-        ]
-        if candidate[n] <= self._scaled:
-            self._powers, self._s = candidate, 2 * s + 1
-        else:
-            self._powers, self._s = [powers[j] << j for j in range(n + 1)], 2 * s
-        return self._enclosure()
+        s = 2 * self._s + 1
+        if s ** self._n * self._den > self._num << (self._n * shift):
+            s -= 1
+        return self._land(s, shift)
 
-    def _enclosure(self) -> RInterval:
-        s, shift = self._s, self._shift
+    def seek(self, shift: int) -> RInterval:
+        return self._land(iroot((self._num << (self._n * shift)) // self._den, self._n), shift)
+
+    def _land(self, s: int, shift: int) -> RInterval:
+        self._s, self._shift = s, shift
         return _interval_raw(dyadic(s, shift), dyadic(s + 1, shift))
 
 

@@ -20,7 +20,8 @@ so such answers never consume budget. One budget step is one pull.
 A pull may carry a precision target: make the width at most ``2**-bits``.
 ``refine`` pulls that way. A node splits the target into one target per
 operand, and a leaf takes several stream elements in that one pull, or
-seeks straight to the precision when its stream can. Such a pull is
+seeks straight to the precision when its stream can. Such a pull visits
+each oracle of the DAG at most once, however many paths lead to it. It is
 charged as many steps as the furthest it took a leaf (in elements, or in
 bits for a seeking stream), and never more than the budget left, so a
 budget takes a leaf no further than one-element pulls would.
@@ -152,17 +153,22 @@ class Oracle:
 
         Without ``bits`` the step is one stream element, or one operand pull
         for a node. With ``bits`` it aims at width ``2**-bits``, spending at
-        most ``reach``. Once a root is known the stream is bypassed and the
-        root singleton is returned. A stream that ends simply stops making
-        progress; pulls then return the narrowest interval seen so far. An
-        error raised by the stream is kept and raised again by every later
-        pull.
+        most ``reach``; an oracle that ``reach`` has already visited returns
+        its enclosure without a step. Once a root is known the stream is
+        bypassed and the root singleton is returned. A stream that ends
+        simply stops making progress; pulls then return the narrowest
+        interval seen so far. An error raised by the stream is kept and
+        raised again by every later pull.
         """
         with self._lock:
             if self._root is not None:
                 return self._best
             if self._error is not None:
                 raise self._error
+            if reach is not None:
+                if self in reach.seen:
+                    return self._best
+                reach.seen.add(self)
             try:
                 nxt = self._node_step(bits, reach) if self.operands else self._leaf_step(bits, reach)
             except StopIteration:
@@ -204,13 +210,13 @@ class Oracle:
     def _node_step(self, bits: Optional[int], reach: Optional["_Reach"]) -> Optional[RInterval]:
         operands, known = self.operands, self._known
         if known is None:
-            known = [op._pull() for op in operands]
+            known = [op._pull(None, reach) for op in operands]
             if any(got is None for got in known):
                 return None
             self._known = known
         elif bits is None:
             turn = self._turn
-            known[turn] = operands[turn]._pull()
+            known[turn] = operands[turn]._pull(None, reach)
             self._turn = (turn + 1) % len(operands)
         else:
             wants = self.split(bits, *known)
@@ -219,7 +225,7 @@ class Oracle:
                 known[i] = operands[i]._pull(wants[i], reach)
             if not missing:
                 for i, op in enumerate(operands):
-                    known[i] = op._pull()
+                    known[i] = op._pull(None, reach)
         # An operand that has given an enclosure never pulls None again, and
         # image runs once per step: clamp_to cuts keep state.
         return self.image(*known)
@@ -238,9 +244,9 @@ class Oracle:
                     return answer
             if steps <= 0:
                 return None
-            reach = _Reach(steps)
+            reach = None if bits is None else _Reach(steps)
             known = self._pull(bits, reach)
-            steps -= reach.used
+            steps -= 1 if reach is None else reach.used
             if known is None:
                 return None
 
@@ -271,6 +277,7 @@ class Oracle:
         """
         if width <= 0:
             raise ValueError("requested width must be positive")
+        width = Fraction(width)
         if self._error is not None:
             raise self._error
         if budget.steps <= 0:
@@ -344,14 +351,15 @@ def node_oracle(
 
 
 class _Reach:
-    """How far one pull may take a leaf, and what it spent: the furthest it
-    took one, and at least one step."""
+    """How far one target pull may take a leaf, what it spent (the furthest
+    it took one, and at least one step), and the oracles it has visited."""
 
-    __slots__ = ("steps", "used")
+    __slots__ = ("steps", "used", "seen")
 
     def __init__(self, steps: int):
         self.steps = steps
         self.used = 1
+        self.seen: set = set()
 
 
 def _log2_floor(num: int, den: int) -> int:

@@ -8,6 +8,7 @@ so a budget never takes a leaf further than one-element pulls would.
 import itertools
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from realoracle.constructors import (
 )
 from realoracle.functions import apply, poly_extension, recip_extension
 from realoracle.intervals import interval_make
-from realoracle.oracle import Budget, mag_bits, precision, target_bits
+from realoracle.oracle import Budget, Oracle, mag_bits, precision, target_bits
 from realoracle.refine import to_decimal
 
 
@@ -59,6 +60,13 @@ class TestLeafSeek:
         o = nth_root_oracle(5, F(7, 3))
         got = o.refine(F(1, 2**3000), Budget(10**4))
         assert got == nth(nth_root_oracle(5, F(7, 3)).refiner(), 3000)
+
+    @pytest.mark.parametrize("n,q", [(2, F(2)), (3, F(400, 7)), (5, F(7, 3))])
+    def test_one_bit_steps_follow_the_definition(self, n, q):
+        for k, got in enumerate(itertools.islice(nth_root_oracle(n, q).refiner(), 300)):
+            s = got.lo * 2**k
+            assert got.width == F(1, 2**k) and s.denominator == 1
+            assert s**n <= q * 2 ** (n * k) < (s + 1) ** n
 
     def test_one_bit_steps_continue_after_a_seek(self):
         o = nth_root_oracle(3, F(5, 2))
@@ -120,6 +128,38 @@ class TestNodeTargets:
         got = o.refine(F(1, 2**64), Budget(200))
         assert got.width <= F(1, 2**64)
         assert to_decimal(o, 15, Budget(500)).digits_text == "4.242640687119285"
+
+
+class TestSharedOperands:
+    def test_a_shared_leaf_moves_once_per_step(self):
+        x = nth_root_oracle(2, 2)
+        assert o_add(x, x).refine(F(1, 2 ** (10**6)), Budget(10)) is None
+        assert precision(x.enclosure) <= 10
+
+    def test_repeated_squaring_pulls_the_leaf_once_per_step(self):
+        drawn = []
+
+        def stream():
+            # Never narrows, so every target step misses at the leaf.
+            while True:
+                drawn.append(1)
+                assert len(drawn) <= 50, "the leaf is pulled once per path"
+                yield interval_make(-1, 1)
+
+        y = Oracle(stream, label="x")
+        # 2**16 paths lead from the top to the leaf. (Labels double per
+        # level, so deeper DAGs cost memory before any pull.)
+        for _ in range(16):
+            y = o_mul(y, y)
+        assert y.refine(F(1, 2**20), Budget(3)) is None
+        assert len(drawn) <= 3
+
+
+class TestWidthTypes:
+    @pytest.mark.parametrize("width", [0.001, Decimal("0.001"), F(1, 1000), 2], ids=lambda w: type(w).__name__)
+    def test_any_rational_width(self, width):
+        got = nth_root_oracle(2, 2).refine(width, Budget(50))
+        assert got.width <= F(width) and got.contains(F(141421, 10**5))
 
 
 def test_threads_share_targeted_and_one_bit_pulls():
