@@ -317,9 +317,9 @@ def _check_disjointness(s: _Sampler, samples: int) -> AxiomReport:
 
 def _check_narrowing(s: _Sampler, samples: int) -> AxiomReport:
     decided = 0
+    base = s.base.width or Fraction(1)
     for _ in range(samples):
-        length = s.base.width if s.base.width > 0 else Fraction(1)
-        length = length / (1 << s.rng.randrange(1, 16))
+        length = base / (1 << s.rng.randrange(1, 16))
         got = s.oracle.refine(length, s.budget)
         if got is None:
             continue

@@ -23,14 +23,11 @@ from .intervals import (
 )
 from .oracle import (
     FonsiSource,
+    LocateHint,
     Oracle,
     Placement,
-    QueryResult,
     oracle_from_fonsi,
 )
-
-_YES = QueryResult.YES
-_NO = QueryResult.NO
 
 # Construction-time locate calls spent hunting for a rational root of a
 # bracketed zero. Enough for shallow roots like 1/3; irrational zeros burn
@@ -124,11 +121,11 @@ class _NthRootStream:
 def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
     """The positive n-th root of a positive rational.
 
-    The membership rule is exact: for positive endpoints, an interval a:b
-    is Yes iff a**n <= q <= b**n; intervals reaching at or below zero are
-    resolved by the fact that the root itself is positive. The root field
-    is present exactly when q is a perfect n-th power of a rational, which
-    is decided by integer root extraction on numerator and denominator.
+    Every decide and locate is answered by one exact test: a point p > 0
+    lies below the root iff p**n < q, and points at or below zero do. The
+    root field is present exactly when q is a perfect n-th power of a
+    rational, which is decided by integer root extraction on numerator and
+    denominator.
     """
     if not isinstance(n, int) or n < 1:
         raise UnsupportedDomain(f"root index must be a positive integer, got {n!r}")
@@ -137,19 +134,6 @@ def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
         raise UnsupportedDomain(f"n-th roots are defined for positive rationals, got {format_rational(value)}")
     num, den = value.numerator, value.denominator
     root = _exact_nth_root(value, n)
-
-    def rule(interval: RInterval) -> QueryResult:
-        hi = interval.hi
-        if hi <= 0:
-            return _NO
-        if hi.numerator ** n * den < num * hi.denominator ** n:
-            return _NO
-        lo = interval.lo
-        if lo <= 0:
-            return _YES
-        if lo.numerator ** n * den <= num * lo.denominator ** n:
-            return _YES
-        return _NO
 
     def hint(point: Fraction) -> Placement:
         if point <= 0:
@@ -166,7 +150,6 @@ def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
         None if root is not None else lambda: _NthRootStream(num, den, n),
         root=root,
         locate_hint=hint,
-        partial_rule=rule,
         label=f"root({n}, {format_rational(value)})",
     )
 
@@ -275,18 +258,19 @@ def _probe_rational_root(hint, lo: Fraction, hi: Fraction, steps: int) -> Option
     return None
 
 
-def _bisection(lo: Fraction, hi: Fraction, side: Callable[[Fraction], int]) -> Iterator[RInterval]:
-    # Halve lo:hi for ever. side(mid) is -1 when the number lies above mid,
-    # +1 when below, and 0 when it is mid: then both ends move there, and
-    # the oracle takes the singleton as its root and pulls no further.
+def _bisection(lo: Fraction, hi: Fraction, place: LocateHint) -> Iterator[RInterval]:
+    # Halve lo:hi for ever, steered by the placement of mid: GREATER and
+    # EQUAL move lo there, anything but GREATER (None is "at most mid")
+    # moves hi. On EQUAL the oracle takes the singleton as its root and
+    # pulls no further.
     while True:
         enclosure = _interval_raw(lo, hi)
         yield enclosure
         mid = enclosure.midpoint()
-        where = side(mid)
-        if where <= 0:
+        where = place(mid)
+        if where is Placement.GREATER or where is Placement.EQUAL:
             lo = mid
-        if where >= 0:
+        if where is not Placement.GREATER:
             hi = mid
 
 
@@ -316,23 +300,19 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
             count = "infinitely many" if zeros is None else zeros
             raise InvalidBracket(f"{f.description} has {count} distinct zeros in {bracket}, not one")
 
-    def rule(interval: RInterval) -> QueryResult:
-        clamped = interval.intersection(bracket)
-        if clamped is None:
-            return _NO
-        sx = sign_lo if clamped.lo == lo else f.eval_sign(clamped.lo)
-        sy = sign_hi if clamped.hi == hi else f.eval_sign(clamped.hi)
-        return _YES if sx * sy <= 0 else _NO
+    def place(point: Fraction) -> Placement:
+        # Inside the bracket the sign alone places the one zero.
+        s = f.eval_sign(point)
+        if s == 0:
+            return Placement.EQUAL
+        return Placement.GREATER if s == sign_lo else Placement.LESS
 
     def hint(point: Fraction) -> Placement:
         if point < lo:
             return Placement.GREATER
         if point > hi:
             return Placement.LESS
-        s = f.eval_sign(point)
-        if s == 0:
-            return Placement.EQUAL
-        return Placement.GREATER if s == sign_lo else Placement.LESS
+        return place(point)
 
     root: Optional[Fraction]
     if sign_lo == 0:
@@ -342,15 +322,10 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     else:
         root = _probe_rational_root(hint, lo, hi, _ROOT_PROBE_STEPS)
 
-    def side(mid: Fraction) -> int:
-        s = f.eval_sign(mid)
-        return 0 if s == 0 else -1 if s == sign_lo else 1
-
     return Oracle(
-        lambda: _bisection(lo, hi, side),
+        lambda: _bisection(lo, hi, place),
         root=root,
         locate_hint=hint,
-        partial_rule=rule,
         label=f"zero({f.description} on {bracket})",
     )
 
@@ -413,11 +388,11 @@ class UpperBoundTest:
 def lub_oracle(test: UpperBoundTest) -> Oracle:
     """Least upper bound of the set described by ``test``.
 
-    An interval is Yes outright when its upper end is an upper bound and
-    its lower end is not. When both ends are upper bounds the question is
-    whether the lower end is the least one, which bisection can refute but
-    never confirm; such singleton queries stay Exhausted unless a root is
-    known.
+    A point that is not an upper bound lies below the lub, at no budget;
+    whether an upper bound is the least one bisection can refute but never
+    confirm. So an interval is Yes outright when its upper end is an upper
+    bound and its lower end is not, and singleton queries at upper bounds
+    stay Exhausted unless a root is known.
     """
     member = as_rational(test.seed_member)
     bound = as_rational(test.seed_bound)
@@ -431,19 +406,12 @@ def lub_oracle(test: UpperBoundTest) -> Oracle:
         raise InvalidBounds(f"upper-bound test is not monotone: it fails at {format_rational(member)}, "
                             f"above the seed bound {format_rational(bound)}")
 
-    def partial(interval: RInterval) -> Optional[QueryResult]:
-        if not test.is_ub(interval.hi):
-            return _NO
-        if not test.is_ub(interval.lo):
-            return _YES
-        return None
-
-    def side(mid: Fraction) -> int:
-        return 1 if test.is_ub(mid) else -1
+    def hint(point: Fraction) -> Optional[Placement]:
+        return None if test.is_ub(point) else Placement.GREATER
 
     return Oracle(
-        lambda: _bisection(member, bound, side),
+        lambda: _bisection(member, bound, hint),
         root=root,
-        partial_rule=partial,
+        locate_hint=hint,
         label=f"lub(seeds {format_rational(member)}, {format_rational(bound)})",
     )

@@ -14,8 +14,9 @@ An :class:`Oracle` stands for one real number. Its observable behaviour:
 
 Operationally an oracle is driven by a stream of nested Yes intervals whose
 widths tend to zero. A known root answers every query, and constructors
-with an exact membership test (roots, zero brackets) install a direct rule,
-so such answers never consume budget. One budget step is one pull.
+with an exact test of where the number lies relative to a rational point
+(roots, zero brackets, least upper bounds) answer from that one test, so
+such answers never consume budget. One budget step is one pull.
 
 A pull may carry a precision target: make the width at most ``2**-bits``.
 ``refine`` pulls that way. A node splits the target into one target per
@@ -44,7 +45,7 @@ from .errors import InvalidFonsi
 from .intervals import RInterval, _interval_raw, format_rational
 
 QueryRule = Callable[[RInterval], "Optional[QueryResult]"]
-LocateHint = Callable[[Fraction], "Placement"]
+LocateHint = Callable[[Fraction], "Optional[Placement]"]
 
 
 class QueryResult(Enum):
@@ -119,6 +120,8 @@ class Oracle:
         self._best: Optional[RInterval] = None if root is None else _interval_raw(root, root)
         self._root = root
         self._locate_hint = locate_hint
+        if partial_rule is None and locate_hint is not None:
+            partial_rule = _hint_rule(locate_hint)
         self._partial_rule = partial_rule
         self._lock = threading.Lock()
         self.label = label
@@ -235,7 +238,10 @@ class Oracle:
     ) -> Any:
         """Pull until ``verdict(enclosure, query)`` gives an answer, spending
         at most ``steps``; None if none came. With ``bits`` every pull aims
-        at width ``2**-bits``. The only loop that spends budget."""
+        at width ``2**-bits``. The only loop that spends budget. Raises the
+        stream's error once it has raised one."""
+        if self._error is not None:
+            raise self._error
         known = self._best
         while True:
             if known is not None:
@@ -264,8 +270,9 @@ class Oracle:
             verdict = rule(interval)
             if verdict is not None:
                 return verdict
-        if self._root is not None:
-            return _decide_verdict(self._best, interval)
+        root = self._root
+        if root is not None:
+            return QueryResult.YES if interval.lo <= root <= interval.hi else QueryResult.NO
         answer = self._settle(_decide_verdict, interval, budget.steps)
         return QueryResult.EXHAUSTED if answer is None else answer
 
@@ -282,22 +289,26 @@ class Oracle:
             raise self._error
         if budget.steps <= 0:
             return None
+        if self._root is not None:
+            return self._best
         return self._settle(_narrow_verdict, width, budget.steps, target_bits(width))
 
     def locate(self, point: Fraction, budget: Budget) -> Placement:
         """Place the oracle's number relative to ``point``.
 
         GREATER means the number exceeds the point. EQUAL arises only when
-        the point is the root, via an exact hint or known root.
+        the point is the root, via an exact hint or known root. A hint that
+        cannot place the point leaves the question to the stream.
         """
         if self._error is not None:
             raise self._error
         hint = self._locate_hint
         if hint is not None:
             placement = hint(point)
-            if placement is Placement.EQUAL:
-                self._discover_root(point)
-            return placement
+            if placement is not None:
+                if placement is Placement.EQUAL:
+                    self._discover_root(point)
+                return placement
         if self._root is not None:
             return _locate_verdict(self._best, point)
         answer = self._settle(_locate_verdict, point, budget.steps)
@@ -342,7 +353,11 @@ def node_oracle(
     ``split(bits, *enclosures)`` gives one precision per operand: operand
     enclosures nested in the given ones and of width at most
     ``2**-precision`` must map to an image of width at most ``2**-bits``.
+    A label longer than a few hundred characters keeps its two ends around
+    an ellipsis, so labels of shared operands cannot double at every level.
     """
+    if len(label) > 300:
+        label = f"{label[:150]}...{label[-150:]}"
     node = Oracle(None, label=label)
     node.operands = tuple(operands)
     node.image = image
@@ -415,6 +430,25 @@ def clamp_to(region: RInterval) -> Callable[[RInterval], Optional[RInterval]]:
         return piece
 
     return cut
+
+
+def _hint_rule(hint: LocateHint) -> QueryRule:
+    """The decide rule of an exact locate hint.
+
+    ``hint(p)`` places the number relative to ``p``, or is None when it can
+    only say "at most ``p``" (an upper-bound test cannot tell equality).
+    A question is open exactly when the lower end gets None.
+    """
+
+    def rule(interval: RInterval) -> Optional[QueryResult]:
+        if hint(interval.hi) is Placement.GREATER:
+            return QueryResult.NO
+        at_lo = hint(interval.lo)
+        if at_lo is Placement.LESS:
+            return QueryResult.NO
+        return None if at_lo is None else QueryResult.YES
+
+    return rule
 
 
 def _decide_verdict(known: RInterval, interval: RInterval) -> Optional[QueryResult]:

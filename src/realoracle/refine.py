@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from .errors import BudgetExhausted, OracleError
 from .intervals import RInterval, int_text
-from .oracle import Budget, Oracle, Placement, QueryResult
+from .oracle import Budget, Oracle, Placement, QueryResult, target_bits
 
 
 @dataclass(frozen=True)
@@ -276,24 +276,19 @@ def _last_place(known: RInterval, scale: int) -> Optional[Tuple[int, bool]]:
 def to_decimal(oracle: Oracle, digits: int, budget: Budget) -> DecimalEnclosure:
     """Certified decimal enclosure with ``digits`` places after the point.
 
-    Refines to two guard digits, then keeps refining while the enclosure
-    straddles a last-place boundary; a number sitting exactly on such a
-    boundary (with no known root) honestly exhausts the budget instead of
-    printing unverifiable digits.
+    Refines, aiming at two guard digits, until the enclosure no longer
+    straddles a last-place boundary, all within the one budget; a number
+    sitting exactly on such a boundary (with no known root) honestly
+    exhausts the budget instead of printing unverifiable digits.
     """
     if digits < 0:
         raise ValueError("digit count must be nonnegative")
     scale = 10 ** digits
-    if oracle.root is None and oracle.refine(Fraction(1, scale * 100), budget) is None:
-        raise BudgetExhausted(
-            f"no width-1e-{digits + 2} enclosure of {oracle.label} "
-            f"within {budget.steps} steps"
-        )
-    got = oracle._settle(_last_place, scale, budget.steps)
+    got = oracle._settle(_last_place, scale, budget.steps, target_bits(Fraction(1, scale * 100)))
     if got is None:
         raise BudgetExhausted(
-            f"enclosure of {oracle.label} straddles a 1e-{digits} boundary; "
-            f"budget of {budget.steps} extra steps spent"
+            f"enclosure of {oracle.label} does not fix the 1e-{digits} place "
+            f"within {budget.steps} steps"
         )
     scaled, exact = got
     return DecimalEnclosure(_fixed_point(scaled, digits), digits, exact, Fraction(scaled, scale))

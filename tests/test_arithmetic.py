@@ -210,3 +210,16 @@ class TestClampMakesNoRoot:
         seen = [got for got, _ in zip(r.refiner(), range(40))]
         assert all(a.encloses(b) for a, b in zip(seen, seen[1:]))
         assert seen[-1].width < F(1, 10**9)
+
+
+class TestNodeLabels:
+    def test_short_labels_unchanged(self):
+        x, y = sqrt2(), rational_oracle(F(1, 3))
+        assert o_mul(o_add(x, y), o_neg(x)).label == "((root(2, 2) + rational(1/3)) * -(root(2, 2)))"
+
+    def test_repeated_squaring_keeps_labels_short(self):
+        y = sqrt2()
+        for _ in range(20):
+            y = o_mul(y, y)
+        assert len(y.label) <= 1000
+        assert y.label.startswith("((((") and "..." in y.label

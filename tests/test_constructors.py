@@ -328,3 +328,108 @@ class TestIvtZeroCount:
         assert SignFunction(poly.eval_sign).coeffs is None
         o = ivt_oracle(SignFunction(poly.eval_sign), -2, 2)
         assert o.refine(F(1, 2**10), AMPLE) is not None
+
+
+class TestOneExactTestPerLeaf:
+    """decide, locate and bisection of an exact leaf all come from one
+    placement test; each is checked against an independent definition."""
+
+    def intervals(self, rng, lo, hi, count=300):
+        points = [F(rng.randint(lo * 64, hi * 64), 64) for _ in range(count)]
+        points += [F(rng.randint(lo * 1000, hi * 1000), rng.randint(1, 1000)) for _ in range(count)]
+        for _ in range(count):
+            a, b = sorted(rng.sample(points, 2))
+            yield interval_make(a, b)
+            yield RInterval(a, a)
+
+    def test_nth_root_decide_matches_integer_powers(self):
+        rng = random.Random(41)
+        for n in (1, 2, 3, 5):
+            for q in (F(2), F(1, 3), F(27, 8), F(9), F(10, 7)):
+                o = nth_root_oracle(n, q)
+                for iv in self.intervals(rng, -1, 4, 60):
+                    at_most_hi = iv.hi > 0 and iv.hi**n >= q
+                    at_least_lo = iv.lo <= 0 or iv.lo**n <= q
+                    want = QueryResult.YES if at_most_hi and at_least_lo else QueryResult.NO
+                    assert o.decide(iv, Budget(0)) is want, (n, q, iv)
+
+    def test_ivt_decide_matches_sign_products(self):
+        rng = random.Random(42)
+        cases = [([-2, 0, 1], 0, 3), ([2, 0, 0, -1], 1, 2), ([-1, 3, -3, 1], 0, 2), ([F(-1, 64), 1], 0, 1)]
+        for coeffs, a, b in cases:
+            sign = polynomial_sign(coeffs)
+            o = ivt_oracle(sign, a, b)
+            for iv in self.intervals(rng, -1, 4, 80):
+                x, y = max(iv.lo, F(a)), min(iv.hi, F(b))
+                straddles = x <= y and sign.eval_sign(x) * sign.eval_sign(y) <= 0
+                want = QueryResult.YES if straddles else QueryResult.NO
+                assert o.decide(iv, Budget(0)) is want, (coeffs, iv)
+
+    def test_lub_decide_matches_the_upper_bound_test(self):
+        rng = random.Random(43)
+        tests = [
+            UpperBoundTest(lambda u: u > 0 and u.numerator**2 >= 2 * u.denominator**2, F(1), F(2)),
+            UpperBoundTest(lambda u: u >= F(5, 3), F(-1), F(3)),
+        ]
+        for test in tests:
+            o = lub_oracle(test)
+            for iv in self.intervals(rng, -1, 4, 80):
+                if not test.is_ub(iv.hi):
+                    want = QueryResult.NO
+                elif not test.is_ub(iv.lo):
+                    want = QueryResult.YES
+                else:
+                    want = QueryResult.EXHAUSTED
+                assert o.decide(iv, Budget(0)) is want, iv
+            assert o.enclosure is None
+
+    def sqrt2_lub(self):
+        return lub_oracle(UpperBoundTest(lambda u: u > 0 and u.numerator**2 >= 2 * u.denominator**2, F(1), F(2)))
+
+    def test_lub_locates_points_below_the_sup_without_budget(self):
+        o = self.sqrt2_lub()
+        for p in (F(-5), F(0), F(1), F(7, 5), F(141421, 100000)):
+            assert o.locate(p, Budget(0)) is Placement.GREATER
+        assert o.enclosure is None
+
+    def test_lub_locate_at_or_above_the_sup_uses_the_stream(self):
+        o = self.sqrt2_lub()
+        assert o.locate(F(3, 2), Budget(0)) is Placement.EXHAUSTED
+        assert o.locate(F(3, 2), AMPLE) is Placement.LESS
+        assert o.enclosure is not None
+        at_sup = lub_oracle(UpperBoundTest(lambda u: u >= 1, F(0), F(2)))
+        assert at_sup.locate(F(1), Budget(40)) is Placement.EXHAUSTED
+        assert at_sup.enclosure.hi == 1
+
+    @staticmethod
+    def bisection(lo, hi, above):
+        # above(mid): True, False, or None when mid is the number.
+        while True:
+            yield lo, hi
+            mid = (lo + hi) / 2
+            where = above(mid)
+            if where is None:
+                lo = hi = mid
+            elif where:
+                lo = mid
+            else:
+                hi = mid
+
+    def first_intervals(self, oracle, count=200):
+        return [(iv.lo, iv.hi) for iv in itertools.islice(oracle.refiner(), count)]
+
+    def test_ivt_refiner_is_plain_bisection(self):
+        # The zero 1/64 is too deep for the construction-time probe, so the
+        # bisection lands on it at its sixth midpoint.
+        for coeffs, a, b in (([-2, 0, 0, 1], 1, 2), ([2, 0, 0, -1], 1, 2), ([F(-1, 64), 1], 0, 1)):
+            sign = polynomial_sign(coeffs)
+            o = ivt_oracle(sign, a, b)
+            assert o.root is None
+            start = sign.eval_sign(F(a))
+            want = self.bisection(F(a), F(b), lambda m: None if not sign.eval_sign(m) else sign.eval_sign(m) == start)
+            assert self.first_intervals(o) == list(itertools.islice(want, 200)), coeffs
+
+    def test_lub_refiner_is_plain_bisection(self):
+        test = UpperBoundTest(lambda u: u**3 >= 3, F(-2), F(5))
+        want = self.bisection(F(-2), F(5), lambda m: not test.is_ub(m))
+        assert self.first_intervals(lub_oracle(test)) == list(itertools.islice(want, 200))

@@ -11,9 +11,9 @@ from realoracle.constructors import (
     polynomial_sign,
     rational_oracle,
 )
-from realoracle.errors import BudgetExhausted
+from realoracle.errors import BudgetExhausted, InvalidFonsi
 from realoracle.intervals import RInterval, interval_make
-from realoracle.oracle import Budget, Placement
+from realoracle.oracle import Budget, FonsiSource, Placement, oracle_from_fonsi
 from realoracle.refine import (
     best_approx,
     bisect_step,
@@ -251,3 +251,27 @@ class TestLongOutput:
         scale = 10**4400
         assert got.value == F(math.isqrt(2 * scale * scale), scale)
         assert got.digits_text.startswith("1.41421356237") and len(got.digits_text) == 4402
+
+
+class TestDecimalSpendsOneBudget:
+    def test_straddling_leaf_draws_at_most_the_budget(self):
+        drawn = []
+
+        def around_half():
+            width = F(1)
+            while True:
+                drawn.append(width)
+                yield interval_make(F(1, 2) - width, F(1, 2) + width)
+                width /= 2
+
+        o = oracle_from_fonsi(FonsiSource(around_half()))
+        with pytest.raises(BudgetExhausted):
+            to_decimal(o, 1, Budget(50))
+        assert 0 < len(drawn) <= 50
+
+    def test_kept_error_raised_where_the_cache_fixes_the_digits(self):
+        o = oracle_from_fonsi(FonsiSource(iter([interval_make(F(1, 4), F(1, 2)), interval_make(2, 3)])))
+        with pytest.raises(InvalidFonsi):
+            o.refine(F(1, 1000), Budget(5))
+        with pytest.raises(InvalidFonsi):
+            to_decimal(o, 0, Budget(5))

@@ -79,3 +79,16 @@ def test_compare_refines_only_the_side_without_a_root():
     x = Counting(F(1))
     assert compare(x.oracle, rational_oracle(F(3, 2)), Budget(3)) is CompareResult.LESS
     assert pulls(x) == (3,)
+
+
+def test_only_oracle_module_passes_a_decide_rule():
+    # Constructors give one exact locate hint; Oracle derives the decide
+    # rule from it, so no module writes the same test twice.
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "oracle.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "partial_rule=" in line
+    ]
+    assert offenders == []
