@@ -7,6 +7,7 @@ bounds of sets given by a monotone upper-bound test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,13 +22,7 @@ from .intervals import (
     dyadic,
     format_rational,
 )
-from .oracle import (
-    FonsiSource,
-    LocateHint,
-    Oracle,
-    Placement,
-    oracle_from_fonsi,
-)
+from .oracle import LocateHint, Oracle, Placement, _meet
 
 # Construction-time locate calls spent hunting for a rational root of a
 # bracketed zero. Enough for shallow roots like 1/3; irrational zeros burn
@@ -345,29 +340,50 @@ class CauchySpec:
     known_limit: Optional[Fraction] = None
 
 
+def _tail_enclosure(spec: CauchySpec, eps: Fraction) -> RInterval:
+    index = spec.modulus(eps)
+    if not isinstance(index, int) or index < 0:
+        raise ValueError(f"modulus must return a nonnegative index, got {index!r}")
+    center = as_rational(spec.term(index))
+    return RInterval(center - eps, center + eps)
+
+
 def cauchy_tail_enclosures(spec: CauchySpec) -> Iterator[RInterval]:
     """Tail enclosures [term(N(eps)) - eps, term(N(eps)) + eps] for eps = 1, 1/2, ..."""
-    eps = Fraction(1)
-    while True:
-        index = spec.modulus(eps)
-        if not isinstance(index, int) or index < 0:
-            raise ValueError(f"modulus must return a nonnegative index, got {index!r}")
-        center = as_rational(spec.term(index))
-        yield RInterval(center - eps, center + eps)
-        eps = eps / 2
+    return (_tail_enclosure(spec, dyadic(1, level)) for level in itertools.count())
+
+
+class _CauchyTail:
+    """The running intersection of the tail enclosures at eps = 2**-level,
+    level = 0, 1, ...; ``seek(k)`` reaches width ``2**-k`` with one modulus
+    and one term call, at level k + 1, and never evaluates the levels it skips.
+    """
+
+    def __init__(self, spec: CauchySpec):
+        self._spec, self._level, self._running = spec, -1, None
+
+    def __iter__(self) -> "_CauchyTail":
+        return self
+
+    def __next__(self) -> RInterval:
+        return self.seek(self._level)
+
+    def seek(self, k: int) -> RInterval:
+        self._level = max(k, self._level) + 1
+        self._running = _meet(self._running, _tail_enclosure(self._spec, dyadic(1, self._level)))
+        return self._running
 
 
 def cauchy_oracle(spec: CauchySpec) -> Oracle:
     """Limit of a Cauchy sequence, via its tail enclosures.
 
-    A wrong modulus is unmasked as :class:`~realoracle.errors.InvalidFonsi`
-    the moment two tail enclosures fail to intersect.
+    A target pull seeks straight to the tail enclosure it needs. A wrong
+    modulus is unmasked as :class:`~realoracle.errors.InvalidFonsi` the
+    moment two evaluated tail enclosures fail to intersect.
     """
-    oracle = oracle_from_fonsi(
-        FonsiSource(cauchy_tail_enclosures(spec), claimed_root=spec.known_limit)
-    )
-    oracle.label = "cauchy" if spec.known_limit is None else f"cauchy(limit={format_rational(spec.known_limit)})"
-    return oracle
+    limit = spec.known_limit
+    label = "cauchy" if limit is None else f"cauchy(limit={format_rational(limit)})"
+    return Oracle(lambda: _CauchyTail(spec), root=limit, label=label)
 
 
 @dataclass(frozen=True)

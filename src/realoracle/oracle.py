@@ -478,6 +478,17 @@ def is_rooted(oracle: Oracle) -> Optional[Fraction]:
     return oracle.root
 
 
+def _meet(running: Optional[RInterval], nxt: RInterval) -> RInterval:
+    """The running intersection of a fonsi after ``nxt``; raises
+    :class:`InvalidFonsi` when ``nxt`` misses it."""
+    if running is None:
+        return nxt
+    merged = running.intersection(nxt)
+    if merged is None:
+        raise InvalidFonsi(f"enumerated interval {nxt} is disjoint from the running intersection {running}")
+    return merged
+
+
 def oracle_from_fonsi(source: FonsiSource) -> Oracle:
     """The unique oracle determined by a fonsi.
 
@@ -494,15 +505,7 @@ def oracle_from_fonsi(source: FonsiSource) -> Oracle:
         for nxt in enumerator:
             if not isinstance(nxt, RInterval):
                 raise TypeError(f"fonsi enumerator must yield RInterval, got {type(nxt).__name__}")
-            if running is None:
-                running = nxt
-            else:
-                merged = running.intersection(nxt)
-                if merged is None:
-                    raise InvalidFonsi(
-                        f"enumerated interval {nxt} is disjoint from the running intersection {running}"
-                    )
-                running = merged
+            running = _meet(running, nxt)
             yield running
 
     root = source.claimed_root

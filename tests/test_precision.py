@@ -15,7 +15,10 @@ import pytest
 
 from realoracle.arithmetic import o_add, o_mul, o_recip, o_sub
 from realoracle.constructors import (
+    CauchySpec,
     UpperBoundTest,
+    cauchy_oracle,
+    cauchy_tail_enclosures,
     ivt_oracle,
     lub_oracle,
     nth_root_oracle,
@@ -24,7 +27,8 @@ from realoracle.constructors import (
 )
 from realoracle.functions import apply, poly_extension, recip_extension
 from realoracle.intervals import interval_make
-from realoracle.oracle import Budget, Oracle, mag_bits, precision, target_bits
+from realoracle.errors import InvalidFonsi
+from realoracle.oracle import Budget, FonsiSource, Oracle, mag_bits, oracle_from_fonsi, precision, target_bits
 from realoracle.refine import to_decimal
 
 
@@ -89,6 +93,63 @@ class TestLeafSeek:
         o = lub_oracle(UpperBoundTest(lambda u: u * u >= 2, F(1), F(2)))
         assert o.refine(F(1, 2**50), Budget(20)) is None
         assert o.enclosure == nth(lub_oracle(UpperBoundTest(lambda u: u * u >= 2, F(1), F(2))).refiner(), 19)
+
+
+def exp_spec(r, asked):
+    """exp(r), 0 < r <= 1, by Taylor partial sums; ``asked`` records the
+    eps of every modulus call and the index of every term call."""
+
+    def term(n):
+        asked.append(("term", n))
+        total, t = F(0), F(1)
+        for k in range(n + 1):
+            total += t
+            t = t * r / (k + 1)
+        return total
+
+    def modulus(eps):
+        # The tail after term n is at most 2 r**(n+1) / (n+1)! for r <= 1.
+        asked.append(("modulus", eps))
+        n, t = 0, r
+        while 2 * t > eps:
+            n += 1
+            t = t * r / (n + 1)
+        return n
+
+    return CauchySpec(term, modulus)
+
+
+def one_level_per_pull(spec):
+    """The Cauchy oracle as a plain fonsi over every tail enclosure."""
+    return oracle_from_fonsi(FonsiSource(cauchy_tail_enclosures(spec)))
+
+
+class TestCauchySeek:
+    def test_one_bit_pulls_visit_every_level(self):
+        got = list(itertools.islice(cauchy_oracle(exp_spec(F(2, 3), [])).refiner(), 40))
+        assert got == list(itertools.islice(one_level_per_pull(exp_spec(F(2, 3), [])).refiner(), 40))
+
+    def test_to_decimal_evaluates_a_few_terms(self):
+        asked = []
+        got = to_decimal(cauchy_oracle(exp_spec(F(1), asked)), 50, Budget(10**4))
+        assert got.digits_text == to_decimal(one_level_per_pull(exp_spec(F(1), [])), 50, Budget(10**4)).digits_text
+        assert got.digits_text.startswith("2.71828182845904523536028747135266249775724709369995")
+        # The first level, then one seek to the two-guard-digit target: not
+        # one term per bit of the 170 the digits need.
+        assert len([a for a in asked if a[0] == "term"]) <= 3
+
+    def test_budget_bounds_a_seek(self):
+        asked = []
+        o = cauchy_oracle(exp_spec(F(1, 2), asked))
+        assert o.refine(F(1, 2 ** (10**6)), Budget(10)) is None
+        assert min(eps for kind, eps in asked if kind == "modulus") == F(1, 2**9)
+        assert o.enclosure.encloses(nth(cauchy_oracle(exp_spec(F(1, 2), [])).refiner(), 9))
+
+    def test_a_seek_still_unmasks_a_wrong_modulus(self):
+        # Terms diverge while the modulus promises convergence.
+        spec = CauchySpec(term=lambda i: F(i), modulus=lambda eps: eps.denominator)
+        with pytest.raises(InvalidFonsi):
+            to_decimal(cauchy_oracle(spec), 3, Budget(100))
 
 
 class TestNodeTargets:
