@@ -22,7 +22,7 @@ from .intervals import (
     dyadic,
     format_rational,
 )
-from .oracle import LocateHint, Oracle, Placement, _meet
+from .oracle import LocateHint, Oracle, Placement, _log2_floor, _meet
 
 # Construction-time locate calls spent hunting for a rational root of a
 # bracketed zero. Enough for shallow roots like 1/3; irrational zeros burn
@@ -49,6 +49,8 @@ def iroot(m: int, n: int) -> int:
         raise ValueError("iroot takes a nonnegative integer")
     if m < 2 or n == 1:
         return m
+    if m >> n == 0:  # 2 <= m < 2**n: the root is 1, found with no power
+        return 1
     if n == 2:
         return math.isqrt(m)
     # Seed from a float logarithm, 2**-20 high: Newton then falls to the
@@ -163,16 +165,32 @@ class SignFunction:
 
 
 def polynomial_sign(coeffs) -> SignFunction:
-    """Sign function of a polynomial with rational coefficients (low to high)."""
+    """Sign function of a polynomial with rational coefficients (low to high),
+    at p/q the sign of q**n * P(p/q), evaluated in integers."""
     cs = tuple(as_rational(c) for c in coeffs)
-    high = cs[::-1]
+    high = _cleared(cs[::-1])
 
     def sign(point: Fraction) -> int:
-        value = _horner(high, point)
+        value = _homogeneous(high, point.numerator, point.denominator)
         return (value > 0) - (value < 0)
 
     terms = ", ".join(format_rational(c) for c in cs)
     return SignFunction(sign, f"poly[{terms}]", cs)
+
+
+def _cleared(poly: Sequence[Fraction]) -> List[int]:
+    # The polynomial times the least common denominator of its coefficients.
+    scale = math.lcm(*(c.denominator for c in poly))
+    return [c.numerator * (scale // c.denominator) for c in poly]
+
+
+def _homogeneous(poly: Sequence[int], p: int, q: int) -> int:
+    """q**n * P(p/q) for integer coefficients high to low, n = len(poly) - 1."""
+    acc, scale = 0, 1
+    for c in poly:
+        acc = acc * p + c * scale
+        scale *= q
+    return acc
 
 
 def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
@@ -187,17 +205,10 @@ def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], 
     return quotient, a
 
 
-def _horner(poly: Sequence[Fraction], x: Fraction) -> Fraction:
-    # Coefficients high to low.
-    acc = Fraction(0)
-    for c in poly:
-        acc = acc * x + c
-    return acc
-
-
-def _distinct_zeros(coeffs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction) -> Optional[int]:
+def _distinct_zeros(coeffs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction) -> Tuple[Optional[int], List[int]]:
     """How many distinct real zeros the polynomial (coefficients low to high)
-    has in [lo, hi]; None for the zero polynomial.
+    has in [lo, hi], None for the zero polynomial; and a multiple of its
+    square-free part in integers, high to low.
 
     Sturm's theorem over exact rationals: the sequence p, p', -rem, ...
     divided by its last member is the Sturm sequence of p's square-free
@@ -208,40 +219,28 @@ def _distinct_zeros(coeffs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction) ->
     while p and not p[0]:
         p.pop(0)
     if not p:
-        return None
+        return None, p
     degree = len(p) - 1
     chain = [p, [c * (degree - i) for i, c in enumerate(p[:-1])]]
     while chain[-1]:
         chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
     chain.pop()
-    chain = [_poly_divmod(poly, chain[-1])[0] for poly in chain]
+    chain = [_cleared(_poly_divmod(poly, chain[-1])[0]) for poly in chain]
 
     def variations(x: Fraction) -> int:
-        values = [v for v in (_horner(poly, x) for poly in chain) if v]
+        values = [v for v in (_homogeneous(poly, x.numerator, x.denominator) for poly in chain) if v]
         return sum((u > 0) != (v > 0) for u, v in zip(values, values[1:]))
 
-    return variations(lo) - variations(hi) + (not _horner(chain[0], lo))
+    return variations(lo) - variations(hi) + (not _homogeneous(chain[0], lo.numerator, lo.denominator)), chain[0]
 
 
-def _probe_rational_root(hint, lo: Fraction, hi: Fraction, steps: int) -> Optional[Fraction]:
-    # Bounded hunt for a rational zero: integer sweep, then mediant descent.
-    left = math.floor(lo)
-    if hint(Fraction(left)) is Placement.EQUAL:
-        return Fraction(left)
-    while steps > 0:
-        steps -= 1
-        placement = hint(Fraction(left + 1))
-        if placement is Placement.EQUAL:
-            return Fraction(left + 1)
-        if placement is Placement.LESS:
-            break
-        left += 1
-        if left > hi:
-            return None
-    pl, ql = left, 1
-    ph, qh = left + 1, 1
-    while steps > 0:
-        steps -= 1
+def _probe_rational_root(hint, lo: Fraction, steps: int) -> Optional[Fraction]:
+    # Bounded hunt for a rational zero: a Stern-Brocot descent between
+    # floor(lo) and 1/0, whose first mediants sweep the integers upwards.
+    pl, ql, ph, qh = math.floor(lo), 1, 1, 0
+    if hint(Fraction(pl)) is Placement.EQUAL:
+        return Fraction(pl)
+    for _ in range(steps):
         mp, mq = pl + ph, ql + qh
         placement = hint(Fraction(mp, mq))
         if placement is Placement.EQUAL:
@@ -253,20 +252,87 @@ def _probe_rational_root(hint, lo: Fraction, hi: Fraction, steps: int) -> Option
     return None
 
 
-def _bisection(lo: Fraction, hi: Fraction, place: LocateHint) -> Iterator[RInterval]:
-    # Halve lo:hi for ever, steered by the placement of mid: GREATER and
-    # EQUAL move lo there, anything but GREATER (None is "at most mid")
-    # moves hi. On EQUAL the oracle takes the singleton as its root and
-    # pulls no further.
-    while True:
-        enclosure = _interval_raw(lo, hi)
-        yield enclosure
-        mid = enclosure.midpoint()
-        where = place(mid)
-        if where is Placement.GREATER or where is Placement.EQUAL:
-            lo = mid
-        if where is not Placement.GREATER:
-            hi = mid
+class _Bisection:
+    """Halve lo:hi for ever, steered by the placement of the midpoint:
+    GREATER and EQUAL move lo there, anything but GREATER (None is "at
+    most mid") moves hi; EQUAL gives the singleton, the oracle's root.
+    Cell j at depth k is lo + w*j/2**k : lo + w*(j+1)/2**k, w = hi - lo.
+
+    ``seek(bits)`` lands on the cell one-bit steps reach at that precision.
+    Given the ``squarefree`` polynomial of the zero (integers, high to low),
+    a Newton step from the midpoint proposes a deep cell, but only ``place``
+    decides: it is taken if GREATER at its left end and LESS at its right,
+    an EQUAL end is the root, and else one bisection step follows.
+    """
+
+    def __init__(self, lo: Fraction, hi: Fraction, place: LocateHint,
+                 squarefree: Optional[Sequence[int]] = None):
+        width = hi - lo
+        self._newton: Optional[Tuple[Sequence[int], List[int]]] = None
+        if squarefree is not None:
+            n = len(squarefree) - 1
+            self._newton = squarefree, [c * (n - i) for i, c in enumerate(squarefree[:-1])]
+        self._den = math.lcm(lo.denominator, width.denominator)
+        self._lo, self._width = _cleared((lo, width))
+        self._offset = _log2_floor(width.denominator, width.numerator)  # precision at depth 0
+        # A step from depth k aims at depth 2k - margin. The margin covers the
+        # curvature of the polynomial and doubles with each failed proposal.
+        self._place, self._margin = place, 4
+        # A root is a singleton of infinite depth, as its oracle.precision.
+        self._depth, self._j, self._ends = -1, 0, (lo, hi)
+
+    def __iter__(self) -> "_Bisection":
+        return self
+
+    def __next__(self) -> RInterval:
+        if self._depth < 0:
+            self._depth = 0
+        elif self._depth < math.inf:
+            self._bisect()
+        return _interval_raw(*self._ends)
+
+    def seek(self, bits: int) -> RInterval:
+        goal = bits - self._offset
+        while self._depth < goal:
+            depth = min(goal, 2 * self._depth - self._margin)
+            if self._newton is None or depth < self._depth + 2 or not self._jump(depth):
+                self._bisect()
+        return _interval_raw(*self._ends)
+
+    def _point(self, j: int, depth: int) -> Fraction:
+        num, den = (self._lo << depth) + self._width * j, self._den << depth
+        return dyadic(num, den.bit_length() - 1) if den & (den - 1) == 0 else Fraction(num, den)
+
+    def _bisect(self) -> None:
+        self._depth, self._j = self._depth + 1, 2 * self._j
+        mid = self._point(self._j + 1, self._depth)
+        where = self._place(mid)
+        if where is Placement.EQUAL:
+            self._ends, self._depth = (mid, mid), math.inf
+        elif where is Placement.GREATER:
+            self._j, self._ends = self._j + 1, (mid, self._ends[1])
+        else:
+            self._ends = (self._ends[0], mid)
+
+    def _jump(self, depth: int) -> bool:
+        poly, slope = self._newton
+        u, e = 2 * self._j + 1, self._depth + 1
+        p, q = (self._lo << e) + self._width * u, self._den << e
+        value, derivative = _homogeneous(poly, p, q), _homogeneous(slope, p, q) * self._width
+        # x - S(x)/S'(x) at the midpoint x = p/q, floored onto the grid of depth.
+        j = ((u * derivative - value) << (depth - e)) // derivative if derivative else -1
+        if 0 <= j < 1 << depth:
+            ends = self._point(j, depth), self._point(j + 1, depth)
+            at = self._place(ends[0]), self._place(ends[1])
+            if Placement.EQUAL in at:
+                root = ends[at.index(Placement.EQUAL)]
+                self._ends, self._depth = (root, root), math.inf
+                return True
+            if at == (Placement.GREATER, Placement.LESS):
+                self._ends, self._j, self._depth = ends, j, depth
+                return True
+        self._margin *= 2
+        return False
 
 
 def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
@@ -289,8 +355,9 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
             f"no sign change: sign at both ends of {format_rational(lo)}:{format_rational(hi)} is {sign_lo:+d}"
         )
     bracket = RInterval(lo, hi)
+    squarefree: Optional[List[int]] = None
     if f.coeffs is not None:
-        zeros = _distinct_zeros(f.coeffs, lo, hi)
+        zeros, squarefree = _distinct_zeros(f.coeffs, lo, hi)
         if zeros != 1:
             count = "infinitely many" if zeros is None else zeros
             raise InvalidBracket(f"{f.description} has {count} distinct zeros in {bracket}, not one")
@@ -315,10 +382,10 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     elif sign_hi == 0:
         root = hi
     else:
-        root = _probe_rational_root(hint, lo, hi, _ROOT_PROBE_STEPS)
+        root = _probe_rational_root(hint, lo, _ROOT_PROBE_STEPS)
 
     return Oracle(
-        lambda: _bisection(lo, hi, place),
+        lambda: _Bisection(lo, hi, place, squarefree),
         root=root,
         locate_hint=hint,
         label=f"zero({f.description} on {bracket})",
@@ -426,7 +493,7 @@ def lub_oracle(test: UpperBoundTest) -> Oracle:
         return None if test.is_ub(point) else Placement.GREATER
 
     return Oracle(
-        lambda: _bisection(member, bound, hint),
+        lambda: _Bisection(member, bound, hint),
         root=root,
         locate_hint=hint,
         label=f"lub(seeds {format_rational(member)}, {format_rational(bound)})",

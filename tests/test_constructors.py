@@ -70,6 +70,17 @@ class TestIroot:
                 assert [iroot(base**n + d, n) for d in (-1, 0, 1)] == [base - 1, base, base]
 
 
+    def test_below_two_to_the_index_the_root_is_one(self):
+        # No power of the index is formed: 3**(10**6) alone has 1.6M bits.
+        assert iroot(2, 10**6) == 1 and iroot(3, 10**6) == 1
+
+    def test_small_arguments_by_brute_force(self):
+        for n in range(1, 13):
+            for m in range(0, 5000):
+                x = iroot(m, n)
+                assert x**n <= m < (x + 1) ** n, (m, n)
+
+
 class TestRationalOracle:
     def test_rule_examples(self):
         o = rational_oracle(F(1, 2))
@@ -163,6 +174,18 @@ class TestIvtOracle:
         o = ivt_oracle(sign, 1, 2)
         for iv in itertools.islice(o.refiner(), 40):
             assert sign.eval_sign(iv.lo) * sign.eval_sign(iv.hi) <= 0
+
+    def test_polynomial_sign_matches_rational_evaluation(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))]
+            root = F(rng.randint(-20, 20), rng.randint(1, 8))
+            coeffs = [-root * coeffs[0]] + [a - root * b for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+            sign = polynomial_sign(coeffs + [0] * rng.randint(0, 2))
+            for x in (root, F(rng.randint(-50, 50), rng.randint(1, 2**rng.randint(0, 80)))):
+                value = sum(c * x**i for i, c in enumerate(coeffs))
+                assert sign.eval_sign(x) == (value > 0) - (value < 0), (coeffs, x)
+        assert polynomial_sign([0, 0]).eval_sign(F(3, 7)) == 0
 
     def test_queries_outside_bracket(self):
         o = ivt_oracle(polynomial_sign([-1, -1, 1]), 1, 2)

@@ -6,6 +6,7 @@ so a budget never takes a leaf further than one-element pulls would.
 """
 
 import itertools
+import random
 import sys
 import threading
 from decimal import Decimal
@@ -16,6 +17,7 @@ import pytest
 from realoracle.arithmetic import o_add, o_mul, o_recip, o_sub
 from realoracle.constructors import (
     CauchySpec,
+    SignFunction,
     UpperBoundTest,
     cauchy_oracle,
     cauchy_tail_enclosures,
@@ -26,8 +28,8 @@ from realoracle.constructors import (
     rational_oracle,
 )
 from realoracle.functions import apply, poly_extension, recip_extension
-from realoracle.intervals import interval_make
-from realoracle.errors import InvalidFonsi
+from realoracle.intervals import RInterval, interval_make
+from realoracle.errors import InvalidBracket, InvalidFonsi
 from realoracle.oracle import Budget, FonsiSource, Oracle, mag_bits, oracle_from_fonsi, precision, target_bits
 from realoracle.refine import to_decimal
 
@@ -93,6 +95,100 @@ class TestLeafSeek:
         o = lub_oracle(UpperBoundTest(lambda u: u * u >= 2, F(1), F(2)))
         assert o.refine(F(1, 2**50), Budget(20)) is None
         assert o.enclosure == nth(lub_oracle(UpperBoundTest(lambda u: u * u >= 2, F(1), F(2))).refiner(), 19)
+
+
+def first_within(oracle, width):
+    """The first refiner element of width at most ``width``."""
+    return next(got for got in oracle.refiner() if got.width <= width)
+
+
+def counted(sign, coeffs):
+    """``sign`` with the given coefficients, and a list that counts its calls."""
+    calls = []
+
+    def eval_sign(x):
+        calls.append(x)
+        return sign(x)
+
+    return SignFunction(eval_sign, "counted", tuple(F(c) for c in coeffs)), calls
+
+
+class TestZeroSeek:
+    """A target pull on a polynomial zero proposes a deep cell by Newton and
+    takes it only when two sign tests certify it: the result is the cell
+    that one-bit bisection reaches."""
+
+    AMPLE = Budget(10**5)
+
+    def random_zeros(self, count):
+        rng = random.Random(77)
+        while count:
+            coeffs = [F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) for _ in range(rng.randint(3, 5))]
+            lo = F(rng.randint(-6, 5), rng.choice((1, 2, 5)))
+            hi = lo + rng.choice((F(1), F(3), F(1, 5), F(7, 3)))
+            sign = polynomial_sign(coeffs + [rng.choice((1, -1, 2))])
+            try:
+                o = ivt_oracle(sign, lo, hi)
+            except InvalidBracket:
+                continue
+            if o.root is None:
+                count -= 1
+                yield lambda: ivt_oracle(sign, lo, hi)
+
+    def test_refine_lands_on_the_bisection_cell(self):
+        width = F(1, 2**2000)
+        for make in self.random_zeros(8):
+            assert make().refine(width, self.AMPLE) == first_within(make(), width)
+
+    def test_a_grid_point_zero_ends_as_bisection_ends(self):
+        def make():
+            return ivt_oracle(polynomial_sign([F(-1, 1024), 1]), 0, 1)
+
+        # Too deep for the construction-time probe; bisection meets it at depth 10.
+        assert make().root is None
+        o = make()
+        assert o.refine(F(1, 2**2000), self.AMPLE) == RInterval(F(1, 1024), F(1, 1024)) == nth(make().refiner(), 10)
+        assert o.root == F(1, 1024)
+
+    def test_a_multiple_zero_agrees_with_bisection(self):
+        def make():  # (x**2 - 2)**3
+            return ivt_oracle(polynomial_sign([-8, 0, 12, 0, -6, 0, 1]), 1, 2)
+
+        assert make().refine(F(1, 2**1000), self.AMPLE) == nth(make().refiner(), 1000)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 2), (0, 3), (F(8, 5), F(9, 5))])
+    def test_budget_bounds_a_seek(self, lo, hi):
+        def make():  # the golden ratio
+            return ivt_oracle(polynomial_sign([-1, -1, 1]), lo, hi)
+
+        o = make()
+        assert o.refine(F(1, 2 ** (10**6)), Budget(10)) is None
+        assert o.enclosure == nth(make().refiner(), 9)
+
+    @pytest.mark.parametrize("coeffs", [[-3, 0, 1], [F(-3, 2), 0, 1]])
+    def test_only_the_sign_tests_decide(self, coeffs):
+        # Newton follows the zero of ``coeffs`` (sqrt 3 above sqrt 2, or
+        # sqrt(3/2) below it); the sign function's zero is sqrt 2.
+        sign, calls = counted(polynomial_sign([-2, 0, 1]).eval_sign, coeffs)
+        o = ivt_oracle(sign, 1, 2)
+        built = len(calls)
+        for bits in (8, 40, 200, 600):
+            assert o.refine(F(1, 2**bits), self.AMPLE) == nth(ivt_oracle(polynomial_sign([-2, 0, 1]), 1, 2).refiner(), bits)
+        assert len(calls) - built <= 3 * 600 + 10
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ivt_oracle(SignFunction(polynomial_sign([-1, -1, 1]).eval_sign), 1, 2),
+            lambda: lub_oracle(UpperBoundTest(lambda u: u * u >= 2, F(1), F(2))),
+        ],
+        ids=["opaque_zero", "lub"],
+    )
+    def test_element_streams_step_one_bit_per_callback(self, make):
+        assert make().refine(F(1, 2**50), Budget(60)) == nth(make().refiner(), 50)
+        o = make()
+        assert o.refine(F(1, 2**50), Budget(20)) is None
+        assert o.enclosure == nth(make().refiner(), 19)
 
 
 def exp_spec(r, asked):
