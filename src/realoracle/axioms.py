@@ -15,6 +15,7 @@ no counterexample surfaced in the sampled trials; it is never a proof.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .intervals import RInterval, _interval_raw
+from .intervals import RInterval, _interval_raw, _raw_fraction
 from .oracle import Budget, Oracle, QueryResult
 
 PROPERTY_NAMES = (
@@ -102,13 +103,21 @@ class _Sampler:
         span = base.width if base.width > 1 else Fraction(1)
         lo = base.lo - 2 * span
         hi = base.hi + 2 * span
+        # lo + (hi - lo) * i / cells is (a + i * step) / den in integers.
         cells = 96
-        step = (hi - lo) / cells
-        points = {lo + step * i for i in range(cells + 1)}
-        points.update((base.lo, base.hi))
-        if oracle.root is not None:
-            points.add(oracle.root)
-        self.grid: Sequence[Fraction] = sorted(points)
+        den = math.lcm(lo.denominator, hi.denominator) * cells
+        a = lo.numerator * (den // lo.denominator)
+        step = (hi.numerator * (den // hi.denominator) - a) // cells
+        grid = []
+        for num in range(a, a + step * cells + 1, step):
+            g = math.gcd(num, den)
+            grid.append(_raw_fraction(num // g, den // g))
+        for point in (base.lo, base.hi, oracle.root):
+            if point is not None:
+                k = bisect_left(grid, point)
+                if k == len(grid) or grid[k] != point:
+                    grid.insert(k, point)
+        self.grid: Sequence[Fraction] = grid
         self.count = len(self.grid)
         self.base_lo_idx = bisect_left(self.grid, base.lo)
         self.base_hi_idx = bisect_left(self.grid, base.hi)

@@ -17,6 +17,7 @@ from .errors import InvalidBounds, InvalidBracket, UnsupportedDomain
 from .intervals import (
     RInterval,
     _interval_raw,
+    _raw_fraction,
     RationalLike,
     as_rational,
     dyadic,
@@ -88,7 +89,11 @@ class _NthRootStream:
     the largest integer with s**n * den <= num * 2**(n*k), for k = 0, 1, ...
 
     ``seek(k)`` lands on shift k with one integer root. A one-bit step
-    needs one power: the next s is 2s + 1 or 2s.
+    builds only the midpoint (2s+1)/2**(k+1), already in lowest terms, and
+    keeps the other end: the midpoint is the new lower end iff
+    (2s+1)**n * den <= num * 2**(n*(k+1)). For n = 2 that test reads the
+    restoring-root remainder R = num*4**k - s**2*den: (4s+1)*den <= 4R, so
+    a step costs a few linear integer operations instead of a power.
     """
 
     def __init__(self, num: int, den: int, n: int):
@@ -102,17 +107,30 @@ class _NthRootStream:
         shift = self._shift + 1
         if not shift:
             return self.seek(0)
-        s = 2 * self._s + 1
-        if s ** self._n * self._den > self._num << (self._n * shift):
-            s -= 1
-        return self._land(s, shift)
+        n, s = self._n, 2 * self._s + 1
+        if n == 2:
+            # 2s - 1 is 4s' + 1 for the s' of the last step.
+            four_r, t = self._r << 2, (2 * s - 1) * self._den
+            up = t <= four_r
+            self._r = four_r - t if up else four_r
+        else:
+            up = s ** n * self._den <= self._num << (n * shift)
+        mid = _raw_fraction(s, 1 << shift)
+        if up:
+            self._lo = mid
+        else:
+            s, self._hi = s - 1, mid
+        self._s, self._shift = s, shift
+        return _interval_raw(self._lo, self._hi)
 
     def seek(self, shift: int) -> RInterval:
-        return self._land(iroot((self._num << (self._n * shift)) // self._den, self._n), shift)
-
-    def _land(self, s: int, shift: int) -> RInterval:
+        scaled = self._num << (self._n * shift)
+        s = iroot(scaled // self._den, self._n)
+        if self._n == 2:
+            self._r = scaled - s * s * self._den
         self._s, self._shift = s, shift
-        return _interval_raw(dyadic(s, shift), dyadic(s + 1, shift))
+        self._lo, self._hi = dyadic(s, shift), dyadic(s + 1, shift)
+        return _interval_raw(self._lo, self._hi)
 
 
 def nth_root_oracle(n: int, q: RationalLike) -> Oracle:

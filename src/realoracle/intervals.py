@@ -119,18 +119,30 @@ def _q_neg(a: Fraction) -> Fraction:
 
 
 def _q_add(a: Fraction, b: Fraction) -> Fraction:
-    da, db = a.denominator, b.denominator
-    if (da & (da - 1)) == 0 and (db & (db - 1)) == 0:
-        ka = da.bit_length() - 1
-        kb = db.bit_length() - 1
-        if ka >= kb:
-            return dyadic((b.numerator << (ka - kb)) + a.numerator, ka)
-        return dyadic((a.numerator << (kb - ka)) + b.numerator, kb)
-    return a + b
+    got = _dyadic_sum(a, b.numerator, b.denominator)
+    return a + b if got is None else got
 
 
 def _q_sub(a: Fraction, b: Fraction) -> Fraction:
-    return _q_add(a, _q_neg(b))
+    got = _dyadic_sum(a, -b.numerator, b.denominator)
+    return a - b if got is None else got
+
+
+def _dyadic_sum(a: Fraction, num: int, db: int) -> Optional[Fraction]:
+    # a + num/db when both denominators are powers of two, else None.
+    da = a.denominator
+    if da & (da - 1) or db & (db - 1):
+        return None
+    ka, kb = da.bit_length() - 1, db.bit_length() - 1
+    if ka >= kb:
+        return dyadic((num << (ka - kb)) + a.numerator, ka)
+    return dyadic((a.numerator << (kb - ka)) + num, kb)
+
+
+def _q_le(a: Fraction, b: Fraction) -> bool:
+    """``a <= b`` for Fractions or ints by one cross-multiplication, without
+    the type dispatch of ``Fraction``'s comparison operators."""
+    return a.numerator * b.denominator <= b.numerator * a.denominator
 
 
 def _q_half(a: Fraction) -> Fraction:
@@ -196,21 +208,23 @@ class RInterval:
 
     @property
     def is_singleton(self) -> bool:
-        return self.lo == self.hi
+        # Endpoints are in lowest terms, so equal values have equal parts.
+        lo, hi = self.lo, self.hi
+        return lo.numerator == hi.numerator and lo.denominator == hi.denominator
 
     def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
+        return _q_le(self.lo, q) and _q_le(q, self.hi)
 
     def encloses(self, other: "RInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        return _q_le(self.lo, other.lo) and _q_le(other.hi, self.hi)
 
     def intersects(self, other: "RInterval") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
+        return _q_le(other.lo, self.hi) and _q_le(self.lo, other.hi)
 
     def intersection(self, other: "RInterval") -> Optional["RInterval"]:
-        lo = self.lo if self.lo >= other.lo else other.lo
-        hi = self.hi if self.hi <= other.hi else other.hi
-        if lo > hi:
+        lo = self.lo if _q_le(other.lo, self.lo) else other.lo
+        hi = self.hi if _q_le(self.hi, other.hi) else other.hi
+        if not _q_le(lo, hi):
             return None
         return _interval_raw(lo, hi)
 
@@ -239,7 +253,7 @@ class RInterval:
         return _interval_raw(_q_neg(self.hi), _q_neg(self.lo))
 
     def sub(self, other: "RInterval") -> "RInterval":
-        return self.add(other.neg())
+        return _interval_raw(_q_sub(self.lo, other.hi), _q_sub(self.hi, other.lo))
 
     def mul(self, other: "RInterval") -> "RInterval":
         a, b = self.lo, self.hi

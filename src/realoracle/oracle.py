@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidFonsi
-from .intervals import RInterval, _interval_raw, format_rational
+from .intervals import RInterval, _interval_raw, _q_le, as_rational, format_rational
 
 QueryRule = Callable[[RInterval], "Optional[QueryResult]"]
 LocateHint = Callable[[Fraction], "Optional[Placement]"]
@@ -272,7 +272,7 @@ class Oracle:
                 return verdict
         root = self._root
         if root is not None:
-            return QueryResult.YES if interval.lo <= root <= interval.hi else QueryResult.NO
+            return QueryResult.YES if interval.contains(root) else QueryResult.NO
         answer = self._settle(_decide_verdict, interval, budget.steps)
         return QueryResult.EXHAUSTED if answer is None else answer
 
@@ -302,6 +302,7 @@ class Oracle:
         """
         if self._error is not None:
             raise self._error
+        point = as_rational(point)
         hint = self._locate_hint
         if hint is not None:
             placement = hint(point)
@@ -460,13 +461,13 @@ def _decide_verdict(known: RInterval, interval: RInterval) -> Optional[QueryResu
 
 
 def _narrow_verdict(known: RInterval, width: Fraction) -> Optional[RInterval]:
-    return known if known.width <= width else None
+    return known if _q_le(known.width, width) else None
 
 
 def _locate_verdict(known: RInterval, point: Fraction) -> Optional[Placement]:
-    if known.hi < point:
+    if not _q_le(point, known.hi):
         return Placement.LESS
-    if known.lo > point:
+    if not _q_le(known.lo, point):
         return Placement.GREATER
     if known.is_singleton:
         return Placement.EQUAL

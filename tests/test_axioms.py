@@ -1,17 +1,20 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from realoracle.arithmetic import o_add, o_mul, o_neg
 from realoracle.axioms import (
     PROPERTY_NAMES,
     Verdict,
+    _Sampler,
     check_axioms,
     format_reports,
     replay,
 )
 from realoracle.constructors import nth_root_oracle, rational_oracle
 from realoracle.intervals import interval_make
-from realoracle.oracle import Budget, Oracle, QueryResult
+from realoracle.oracle import Budget, FonsiSource, Oracle, QueryResult, oracle_from_fonsi
 
 
 def broken_width_oracle():
@@ -101,3 +104,42 @@ class TestReportFormat:
     def test_samples_validated(self):
         with pytest.raises(ValueError):
             check_axioms(rational_oracle(F(1)), 0, 0, Budget(4))
+
+
+def sorted_set_grid(base, root):
+    """The sampling grid built from a set of Fractions and sorted: the
+    construction that the integer progression must reproduce exactly."""
+    span = base.width if base.width > 1 else F(1)
+    lo, hi = base.lo - 2 * span, base.hi + 2 * span
+    step = (hi - lo) / 96
+    points = {lo + step * i for i in range(97)}
+    points.update((base.lo, base.hi))
+    if root is not None:
+        points.add(root)
+    return sorted(points)
+
+
+class TestSamplingGrid:
+    def oracles(self):
+        rng = random.Random(2024)
+        for _ in range(6):
+            a, b = rng.randint(2, 500), F(rng.randint(2, 500), rng.randint(1, 30))
+            yield rational_oracle(F(rng.randint(-900, 900), rng.randint(1, 60))), Budget(64)
+            yield nth_root_oracle(rng.choice((2, 3, 5)), b), Budget(64)
+            # Trees at budget 0 keep their first enclosure, 2 wide.
+            yield o_add(nth_root_oracle(2, a), o_neg(nth_root_oracle(3, b))), Budget(0)
+            yield o_mul(nth_root_oracle(2, a), nth_root_oracle(3, b)), Budget(64)
+            narrow = o_add(nth_root_oracle(2, a), nth_root_oracle(3, b))
+            narrow.refine(F(1, 2**300), Budget(10**4))
+            yield narrow, Budget(64)
+        yield oracle_from_fonsi(FonsiSource(iter([interval_make(F(-7, 3), F(17, 5))]))), Budget(0)
+
+    def test_integer_grid_equals_the_sorted_set(self):
+        wide = narrow = 0
+        for seed, (oracle, budget) in enumerate(self.oracles()):
+            sampler = _Sampler(oracle, seed, budget)
+            want = sorted_set_grid(sampler.base, oracle.root)
+            assert [(p.numerator, p.denominator) for p in sampler.grid] == [(p.numerator, p.denominator) for p in want]
+            wide += sampler.base.width > 1
+            narrow += 0 < sampler.base.width <= F(1, 2**300)
+        assert wide >= 6 and narrow >= 6

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from realoracle.errors import ZeroInDenominator
 from realoracle.intervals import (
     ArithOp,
     IntervalRelation,
     RInterval,
+    _q_le,
+    _q_sub,
     dyadic,
     format_interval,
     format_rational,
@@ -183,3 +185,56 @@ class TestLongText:
         digits = "142857" * 833 + "14"
         assert format_rational(F(n)) == digits
         assert format_rational(F(-n, 3)) == "-" + digits + "/3"
+
+
+# Endpoints for the order primitives: small ints, non-dyadic rationals of
+# both signs and zero, and dyadics of about 5000 bits; drawn from a small
+# pool, so that equal endpoints come up often.
+_points = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    rationals,
+    st.builds(dyadic, st.integers(min_value=-(2**5001), max_value=2**5001), st.integers(min_value=4990, max_value=5010)),
+)
+
+
+@st.composite
+def _pooled(draw, count):
+    pool = draw(st.lists(_points, min_size=1, max_size=4))
+    return [draw(st.sampled_from(pool)) for _ in range(count)]
+
+
+def _exact(q):
+    return (q.numerator, q.denominator)
+
+
+class TestOrderPrimitives:
+    """Interval order tests and dyadic subtraction agree with the operators
+    of ``Fraction`` (and ``int``) on every kind of endpoint."""
+
+    @given(_pooled(5))
+    @example([F(1, 3), F(1, 2), F(-1, 2), F(-1, 3), 0])
+    def test_interval_tests_agree_with_fraction_operators(self, points):
+        a, b, c, d, q = points
+        i, j = interval_make(a, b), interval_make(c, d)
+        assert i.contains(q) is (i.lo <= q <= i.hi)
+        assert i.contains(F(q)) is (i.lo <= q <= i.hi)
+        assert i.encloses(j) is (i.lo <= j.lo and j.hi <= i.hi)
+        assert i.intersects(j) is (max(i.lo, j.lo) <= min(i.hi, j.hi))
+        both = i.intersection(j)
+        if i.intersects(j):
+            assert (_exact(both.lo), _exact(both.hi)) == (_exact(max(i.lo, j.lo)), _exact(min(i.hi, j.hi)))
+        else:
+            assert both is None
+        assert i.is_singleton is (i.lo == i.hi)
+        assert interval_make(q, q).is_singleton
+
+    @given(_pooled(4))
+    def test_sub_agrees_with_fraction_subtraction(self, points):
+        a, b, c, d = points
+        i, j = interval_make(a, b), interval_make(c, d)
+        got = i.sub(j)
+        # Canonical endpoints: equal numerators and denominators, not just values.
+        assert (_exact(got.lo), _exact(got.hi)) == (_exact(i.lo - j.hi), _exact(i.hi - j.lo))
+        assert _exact(_q_sub(a, c)) == _exact(F(a) - c)
+        assert _q_le(a, c) is (a <= c) and _q_le(c, a) is (c <= a)

@@ -71,6 +71,13 @@ class TestLocate:
         assert o.locate(F(2), AMPLE) is Placement.LESS
         assert o.locate(F(5, 3), Budget(20)) is Placement.EXHAUSTED
 
+    def test_points_are_exact(self):
+        # A float point is refused up front, whichever path would place it.
+        for o in (nth_root_oracle(2, 2), rational_oracle(F(1, 2)), oracle_from_fonsi(FonsiSource(shrinking(F(5, 3))))):
+            with pytest.raises(TypeError):
+                o.locate(1.5, AMPLE)
+        assert nth_root_oracle(2, 2).locate(1, AMPLE) is Placement.GREATER
+
 
 class TestFonsi:
     def test_claimed_root_singleton_is_yes(self):

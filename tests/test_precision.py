@@ -97,6 +97,33 @@ class TestLeafSeek:
         assert o.enclosure == nth(lub_oracle(UpperBoundTest(lambda u: u * u >= 2, F(1), F(2))).refiner(), 19)
 
 
+class TestSquareRootRemainder:
+    """One-bit square-root steps read a carried remainder; a seek re-derives
+    it. Deep pulls must still be the intervals of the definition."""
+
+    @pytest.mark.parametrize("q", [F(2), F(7, 3), F(10**6 + 1, 999)])
+    def test_deep_one_bit_steps_equal_a_seek(self, q):
+        one_bit = nth(nth_root_oracle(2, q).refiner(), 20000)
+        assert one_bit == nth_root_oracle(2, q).refine(F(1, 2**20000), Budget(10**5))
+        assert one_bit.width == F(1, 2**20000)
+
+    @pytest.mark.parametrize("q", [F(2), F(5, 2), F(3, 1024)])
+    def test_one_bit_steps_continue_after_a_seek(self, q):
+        o = nth_root_oracle(2, q)
+        o.refine(F(1, 2**500), Budget(1000))
+        after = list(itertools.islice(o.refiner(), 200))
+        assert after == list(itertools.islice(nth_root_oracle(2, q).refiner(), 501, 701))
+
+    @pytest.mark.parametrize("q", [F(2), F(7, 3), F(1, 10**9 + 7)])
+    def test_one_bit_steps_follow_the_definition_deep(self, q):
+        num, den = q.numerator, q.denominator
+        for k, got in enumerate(itertools.islice(nth_root_oracle(2, q).refiner(), 2001)):
+            assert got.lo.denominator <= 2**k and got.hi == got.lo + F(1, 2**k)
+            s = got.lo.numerator << (k - got.lo.denominator.bit_length() + 1)
+            # s**2 <= q * 4**k < (s + 1)**2, in integers.
+            assert s * s * den <= num << 2 * k < (s + 1) ** 2 * den
+
+
 def first_within(oracle, width):
     """The first refiner element of width at most ``width``."""
     return next(got for got in oracle.refiner() if got.width <= width)
