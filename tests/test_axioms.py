@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from realoracle.arithmetic import o_add, o_mul, o_neg
+from realoracle.arithmetic import o_add, o_mul, o_neg, o_sub
 from realoracle.axioms import (
     PROPERTY_NAMES,
     Verdict,
@@ -12,7 +12,15 @@ from realoracle.axioms import (
     format_reports,
     replay,
 )
-from realoracle.constructors import nth_root_oracle, rational_oracle
+from realoracle.constructors import (
+    SignFunction,
+    UpperBoundTest,
+    ivt_oracle,
+    lub_oracle,
+    nth_root_oracle,
+    polynomial_sign,
+    rational_oracle,
+)
 from realoracle.intervals import interval_make
 from realoracle.oracle import Budget, FonsiSource, Oracle, QueryResult, oracle_from_fonsi
 
@@ -87,6 +95,99 @@ class TestDeterminism:
         a = check_axioms(broken_width_oracle(), 5, 300, Budget(64))
         b = check_axioms(broken_width_oracle(), 5, 300, Budget(64))
         assert format_reports(a) == format_reports(b)
+
+
+def shared_difference():
+    s = nth_root_oracle(2, 2)
+    return o_sub(s, s)
+
+
+PASS_ALL = """\
+Consistency Passed 50
+Existence Passed 1
+Closed Passed {closed}
+Rooted Passed 50
+IntervalSeparation Passed 50
+TwoPointSeparation Passed 50
+Disjointness Passed 50
+Narrowing Passed 50
+Intersection Passed 50"""
+
+# Recorded before the checks shared one trial loop. Each property draws
+# from the sampler's one random stream, so a later report pins how many
+# draws every earlier property made and at which trial it stopped.
+GOLDEN = (
+    (lambda: rational_oracle(F(-7, 3)), 3, Budget(64), PASS_ALL.format(closed=1)),
+    (lambda: nth_root_oracle(2, 2), 5, Budget(64), PASS_ALL.format(closed=0)),
+    (
+        lambda: o_add(nth_root_oracle(2, 2), nth_root_oracle(3, 5)),
+        11,
+        Budget(0),
+        """\
+Consistency Passed 50
+Existence Passed 1
+Closed Passed 0
+Rooted Passed 50
+IntervalSeparation Passed 50
+TwoPointSeparation Inconclusive 50
+Disjointness Passed 50
+Narrowing Inconclusive 50
+Intersection Passed 50""",
+    ),
+    (
+        lambda: ivt_oracle(SignFunction(polynomial_sign([-2, 0, 1]).eval_sign), 0, 2),
+        13,
+        Budget(64),
+        PASS_ALL.format(closed=0),
+    ),
+    (
+        lambda: lub_oracle(UpperBoundTest(lambda u: u * u * u >= 3, F(0), F(2))),
+        17,
+        Budget(64),
+        PASS_ALL.format(closed=0),
+    ),
+    (
+        broken_width_oracle,
+        19,
+        Budget(64),
+        """\
+Consistency Passed 50
+Existence Passed 1
+Closed Passed 0
+Rooted Passed 50
+IntervalSeparation Falsified 50 [split of a Yes interval has 2 Yes pieces: \
+decide(-47/96:89/48)=Yes decide(89/48:89/48)=No decide(89/48:139/48)=Yes (budget=64)]
+TwoPointSeparation Passed 50
+Disjointness Falsified 50 [disjoint intervals both decided Yes: \
+decide(-167/96:-9/32)=Yes decide(0:119/48)=Yes (budget=64)]
+Narrowing Inconclusive 50
+Intersection Falsified 50 [two Yes intervals are disjoint: \
+decide(53/96:89/48)=Yes decide(-71/48:23/96)=Yes (budget=64)]""",
+    ),
+    (shared_difference, 23, Budget(8), PASS_ALL.format(closed=0)),
+    (
+        shared_difference,
+        23,
+        Budget(0),
+        """\
+Consistency Passed 50
+Existence Passed 1
+Closed Passed 0
+Rooted Passed 50
+IntervalSeparation Passed 50
+TwoPointSeparation Inconclusive 50
+Disjointness Passed 50
+Narrowing Inconclusive 50
+Intersection Passed 50""",
+    ),
+)
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("case", range(len(GOLDEN)))
+    def test_reports_match_the_recording(self, case):
+        make, seed, budget, want = GOLDEN[case]
+        assert format_reports(check_axioms(make(), seed, 50, budget)) == want
 
 
 class TestReportFormat:
