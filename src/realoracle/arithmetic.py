@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .constructors import rational_oracle
 from .errors import ZeroWitnessInvalid
-from .intervals import RInterval
+from .intervals import RInterval, _q_le
 from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, mag_bits, node_oracle
 
 _WITNESS_CHECK_BUDGET = Budget(64)
@@ -131,9 +131,9 @@ def compare(x: Oracle, y: Oracle, budget: Budget) -> CompareResult:
     """
     kx, ky = x.enclosure, y.enclosure
     if kx is not None and ky is not None:
-        if kx.hi < ky.lo:
+        if not _q_le(ky.lo, kx.hi):
             return CompareResult.LESS
-        if ky.hi < kx.lo:
+        if not _q_le(kx.lo, ky.hi):
             return CompareResult.GREATER
     rx, ry = x.root, y.root
     exact = None if rx is None or ry is None else rx - ry

@@ -5,7 +5,9 @@ Nine falsification-oriented checks: the five defining properties
 equivalent replacement pairs (two point separation with disjointness;
 narrowing with intersection). Checks sample seeded pseudo-random rational
 intervals on a grid centred on the oracle's own refined interval, so
-boundary-adjacent queries are well represented.
+boundary-adjacent queries are well represented. Each property is a
+generator of trial outcomes, and one driver, ``_sampled``, runs and judges
+them all.
 
 A ``FALSIFIED`` verdict always carries a replayable counterexample (the
 intervals queried, the answers observed, and the budget). ``PASSED`` means
@@ -15,13 +17,14 @@ no counterexample surfaced in the sampled trials; it is never a proof.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .intervals import RInterval, _interval_raw, _raw_fraction
 from .oracle import Budget, Oracle, QueryResult
@@ -127,6 +130,12 @@ class _Sampler:
         # Valid because the grid is strictly increasing and i <= j.
         return _interval_raw(self.grid[i], self.grid[j])
 
+    def decide(self, interval: RInterval) -> QueryResult:
+        return self.oracle.decide(interval, self.budget)
+
+    def cex(self, note: str, *queries: Tuple[RInterval, QueryResult]) -> Counterexample:
+        return Counterexample(note, queries, self.budget)
+
     def index(self) -> int:
         return self.rng.randrange(self.count)
 
@@ -143,244 +152,162 @@ class _Sampler:
         )
 
 
-_CheckFn = Callable[[_Sampler, int], AxiomReport]
+# A trial yields None when it decided nothing (an Exhausted answer, or a
+# draw the property does not apply to), True when the property held, and a
+# Counterexample when it failed. ``held or s.cex(...)`` gives the last two.
+_Trials = Iterator[Union[None, bool, Counterexample]]
 
 
-def _report(
-    name: str,
-    samples: int,
-    decided: int,
-    counterexample: Optional[Counterexample],
-) -> AxiomReport:
-    if counterexample is not None:
-        return AxiomReport(name, Verdict.FALSIFIED, samples, counterexample)
-    if decided == 0 and samples > 0:
-        return AxiomReport(name, Verdict.INCONCLUSIVE, samples)
-    return AxiomReport(name, Verdict.PASSED, samples)
+def _sampled(name: str, trials: _Trials, samples: int) -> AxiomReport:
+    """Run up to ``samples`` trials of one property and judge them: Falsified
+    at the first counterexample, Inconclusive when trials ran and none was
+    decided, else Passed. A property with fewer trials than asked for (Closed
+    has none without a root) reports the trials it had."""
+    ran = decided = 0
+    for outcome in itertools.islice(trials, samples):
+        ran += 1
+        if outcome is True:
+            decided += 1
+        elif outcome is not None:
+            return AxiomReport(name, Verdict.FALSIFIED, samples, outcome)
+    verdict = Verdict.INCONCLUSIVE if ran and not decided else Verdict.PASSED
+    return AxiomReport(name, verdict, ran)
 
 
-def _check_consistency(s: _Sampler, samples: int) -> AxiomReport:
-    decide = s.oracle.decide
-    decided = 0
-    for _ in range(samples):
+def _consistency(s: _Sampler) -> _Trials:
+    while True:
         i, j = s.span_indices()
         inner = s.iv(i, j)
-        if decide(inner, s.budget) is not QueryResult.YES:
+        if s.decide(inner) is not QueryResult.YES:
+            yield None
             continue
         outer = s.iv(s.rng.randrange(0, i + 1), s.rng.randrange(j, s.count))
-        answer = decide(outer, s.budget)
-        if answer is QueryResult.EXHAUSTED:
-            continue
-        decided += 1
-        if answer is QueryResult.NO:
-            cex = Counterexample(
-                "superset of a Yes interval decided No",
-                ((inner, QueryResult.YES), (outer, QueryResult.NO)),
-                s.budget,
-            )
-            return _report("Consistency", samples, decided, cex)
-    return _report("Consistency", samples, decided, None)
-
-
-def _check_existence(s: _Sampler, samples: int) -> AxiomReport:
-    answer = s.oracle.decide(s.region, s.budget)
-    if answer is QueryResult.YES:
-        return AxiomReport("Existence", Verdict.PASSED, 1)
-    if answer is QueryResult.NO:
-        cex = Counterexample(
-            "region around the refined interval decided No",
-            ((s.region, QueryResult.NO),),
-            s.budget,
+        answer = s.decide(outer)
+        yield None if answer is QueryResult.EXHAUSTED else (
+            answer is not QueryResult.NO
+            or s.cex("superset of a Yes interval decided No", (inner, QueryResult.YES), (outer, answer))
         )
-        return AxiomReport("Existence", Verdict.FALSIFIED, 1, cex)
-    return AxiomReport("Existence", Verdict.INCONCLUSIVE, 1)
 
 
-def _check_closed(s: _Sampler, samples: int) -> AxiomReport:
-    root = s.oracle.root
-    if root is None:
-        return AxiomReport("Closed", Verdict.PASSED, 0)
-    singleton = RInterval(root, root)
-    answer = s.oracle.decide(singleton, s.budget)
-    if answer is QueryResult.YES:
-        return AxiomReport("Closed", Verdict.PASSED, 1)
-    verdict = Verdict.FALSIFIED if answer is QueryResult.NO else Verdict.INCONCLUSIVE
-    cex = None
-    if answer is QueryResult.NO:
-        cex = Counterexample(
-            "root singleton decided No", ((singleton, answer),), s.budget
-        )
-    return AxiomReport("Closed", verdict, 1, cex)
+def _existence(s: _Sampler) -> _Trials:
+    answer = s.decide(s.region)
+    yield None if answer is QueryResult.EXHAUSTED else (
+        answer is QueryResult.YES
+        or s.cex("region around the refined interval decided No", (s.region, answer))
+    )
 
 
-def _check_rooted(s: _Sampler, samples: int) -> AxiomReport:
-    decide = s.oracle.decide
-    seen: List[Fraction] = []
+def _closed(s: _Sampler) -> _Trials:
     root = s.oracle.root
     if root is not None:
-        seen.append(root)
-    decided = 0
-    for _ in range(samples):
+        singleton = RInterval(root, root)
+        answer = s.decide(singleton)
+        yield None if answer is QueryResult.EXHAUSTED else (
+            answer is QueryResult.YES or s.cex("root singleton decided No", (singleton, answer))
+        )
+
+
+def _rooted(s: _Sampler) -> _Trials:
+    root = s.oracle.root
+    seen: List[Fraction] = [] if root is None else [root]
+    while True:
         k = s.index()
         singleton = s.iv(k, k)
-        answer = decide(singleton, s.budget)
+        answer = s.decide(singleton)
         if answer is QueryResult.EXHAUSTED:
-            continue
-        decided += 1
-        if answer is QueryResult.YES and singleton.lo not in seen:
+            yield None
+        elif answer is QueryResult.YES and singleton.lo not in seen:
             seen.append(singleton.lo)
-            if len(seen) >= 2:
-                first = RInterval(seen[0], seen[0])
-                cex = Counterexample(
-                    "two distinct Yes singletons",
-                    ((first, QueryResult.YES), (singleton, QueryResult.YES)),
-                    s.budget,
-                )
-                return _report("Rooted", samples, decided, cex)
-    return _report("Rooted", samples, decided, None)
+            yield len(seen) < 2 or s.cex(
+                "two distinct Yes singletons",
+                (RInterval(seen[0], seen[0]), QueryResult.YES),
+                (singleton, QueryResult.YES),
+            )
+        else:
+            yield True
 
 
-def _check_separation(s: _Sampler, samples: int) -> AxiomReport:
-    decide = s.oracle.decide
-    decided = 0
-    for _ in range(samples):
+def _separation(s: _Sampler) -> _Trials:
+    while True:
         i, j = s.yes_indices()
-        if j - i < 2:
-            continue
-        whole = s.iv(i, j)
-        if decide(whole, s.budget) is not QueryResult.YES:
+        if j - i < 2 or s.decide(s.iv(i, j)) is not QueryResult.YES:
+            yield None
             continue
         k = s.rng.randrange(i + 1, j)
         pieces = (s.iv(i, k), s.iv(k, k), s.iv(k, j))
-        answers = tuple(decide(p, s.budget) for p in pieces)
+        answers = tuple(s.decide(p) for p in pieces)
         if QueryResult.EXHAUSTED in answers:
+            yield None
             continue
-        decided += 1
-        yes_count = sum(1 for a in answers if a is QueryResult.YES)
-        singleton_yes = answers[1] is QueryResult.YES
-        ok = yes_count == 3 if singleton_yes else yes_count == 1
-        if not ok:
-            cex = Counterexample(
-                f"split of a Yes interval has {yes_count} Yes pieces",
-                tuple(zip(pieces, answers)),
-                s.budget,
-            )
-            return _report("IntervalSeparation", samples, decided, cex)
-    return _report("IntervalSeparation", samples, decided, None)
+        yes_count = answers.count(QueryResult.YES)
+        yield yes_count == (3 if answers[1] is QueryResult.YES else 1) or s.cex(
+            f"split of a Yes interval has {yes_count} Yes pieces", *zip(pieces, answers)
+        )
 
 
-def _check_two_point(s: _Sampler, samples: int) -> AxiomReport:
-    decided = 0
-    for _ in range(samples):
+def _two_point(s: _Sampler) -> _Trials:
+    while True:
         k1, k2 = s.index(), s.index()
         if k1 == k2:
+            yield None
             continue
         c1, c2 = s.grid[k1], s.grid[k2]
         root = s.oracle.root
         if root is not None:
             witness: Optional[RInterval] = RInterval(root, root)
         else:
-            gap = abs(c2 - c1)
-            witness = s.oracle.refine(gap / 2, s.budget)
-        if witness is None:
-            continue
-        decided += 1
-        if witness.contains(c1) and witness.contains(c2):
-            cex = Counterexample(
-                f"every found Yes interval holds both {c1} and {c2}",
-                ((witness, QueryResult.YES),),
-                s.budget,
-            )
-            return _report("TwoPointSeparation", samples, decided, cex)
-    return _report("TwoPointSeparation", samples, decided, None)
+            witness = s.oracle.refine(abs(c2 - c1) / 2, s.budget)
+        yield None if witness is None else (
+            not (witness.contains(c1) and witness.contains(c2))
+            or s.cex(f"every found Yes interval holds both {c1} and {c2}", (witness, QueryResult.YES))
+        )
 
 
-def _check_disjointness(s: _Sampler, samples: int) -> AxiomReport:
-    decide = s.oracle.decide
-    decided = 0
-    for _ in range(samples):
-        picks = sorted(s.rng.randrange(s.count) for _ in range(4))
-        a, b, c, d = picks
+def _disjointness(s: _Sampler) -> _Trials:
+    while True:
+        a, b, c, d = sorted(s.rng.randrange(s.count) for _ in range(4))
         if b >= c:
+            yield None
             continue
-        first = s.iv(a, b)
-        second = s.iv(c, d)
-        a1 = decide(first, s.budget)
+        first, second = s.iv(a, b), s.iv(c, d)
+        a1 = s.decide(first)
         if a1 is not QueryResult.YES:
-            if a1 is not QueryResult.EXHAUSTED:
-                decided += 1
+            yield None if a1 is QueryResult.EXHAUSTED else True
             continue
-        a2 = decide(second, s.budget)
-        if a2 is QueryResult.EXHAUSTED:
-            continue
-        decided += 1
-        if a2 is QueryResult.YES:
-            cex = Counterexample(
-                "disjoint intervals both decided Yes",
-                ((first, a1), (second, a2)),
-                s.budget,
-            )
-            return _report("Disjointness", samples, decided, cex)
-    return _report("Disjointness", samples, decided, None)
+        a2 = s.decide(second)
+        yield None if a2 is QueryResult.EXHAUSTED else (
+            a2 is not QueryResult.YES or s.cex("disjoint intervals both decided Yes", (first, a1), (second, a2))
+        )
 
 
-def _check_narrowing(s: _Sampler, samples: int) -> AxiomReport:
-    decided = 0
+def _narrowing(s: _Sampler) -> _Trials:
     base = s.base.width or Fraction(1)
-    for _ in range(samples):
+    while True:
         length = base / (1 << s.rng.randrange(1, 16))
         got = s.oracle.refine(length, s.budget)
-        if got is None:
-            continue
-        decided += 1
-        if got.width > length:
-            cex = Counterexample(
-                f"refine produced width {got.width} above requested {length}",
-                ((got, QueryResult.YES),),
-                s.budget,
-            )
-            return _report("Narrowing", samples, decided, cex)
-    return _report("Narrowing", samples, decided, None)
+        yield None if got is None else (
+            got.width <= length
+            or s.cex(f"refine produced width {got.width} above requested {length}", (got, QueryResult.YES))
+        )
 
 
-def _check_intersection(s: _Sampler, samples: int) -> AxiomReport:
-    decide = s.oracle.decide
-    decided = 0
+def _intersection(s: _Sampler) -> _Trials:
     yes_seen: List[RInterval] = []
     running: Optional[RInterval] = None
-    for _ in range(samples):
+    while True:
         i, j = s.span_indices()
         candidate = s.iv(i, j)
-        answer = decide(candidate, s.budget)
-        if answer is QueryResult.EXHAUSTED:
-            continue
-        decided += 1
+        answer = s.decide(candidate)
         if answer is not QueryResult.YES:
+            yield None if answer is QueryResult.EXHAUSTED else True
             continue
         yes_seen.append(candidate)
         running = candidate if running is None else running.intersection(candidate)
-        if running is None:
-            clash = next(iv for iv in yes_seen if not iv.intersects(candidate))
-            cex = Counterexample(
-                "two Yes intervals are disjoint",
-                ((clash, QueryResult.YES), (candidate, QueryResult.YES)),
-                s.budget,
-            )
-            return _report("Intersection", samples, decided, cex)
-    return _report("Intersection", samples, decided, None)
-
-
-_CHECKS: Tuple[Tuple[str, _CheckFn], ...] = (
-    ("Consistency", _check_consistency),
-    ("Existence", _check_existence),
-    ("Closed", _check_closed),
-    ("Rooted", _check_rooted),
-    ("IntervalSeparation", _check_separation),
-    ("TwoPointSeparation", _check_two_point),
-    ("Disjointness", _check_disjointness),
-    ("Narrowing", _check_narrowing),
-    ("Intersection", _check_intersection),
-)
+        if running is not None:
+            yield True
+            continue
+        clash = next(iv for iv in yes_seen if not iv.intersects(candidate))
+        yield s.cex("two Yes intervals are disjoint", (clash, QueryResult.YES), (candidate, QueryResult.YES))
 
 
 def check_axioms(
@@ -389,8 +316,15 @@ def check_axioms(
     """Run all nine property checks; deterministic for a given seed."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    sampler = _Sampler(oracle, sampler_seed, budget)
-    return [check(sampler, samples) for _, check in _CHECKS]
+    s = _Sampler(oracle, sampler_seed, budget)
+    # In PROPERTY_NAMES order. All properties draw from one seeded stream,
+    # so each runs only after the one before it has finished drawing.
+    trials = (
+        (_consistency, samples), (_existence, 1), (_closed, 1),
+        (_rooted, samples), (_separation, samples), (_two_point, samples),
+        (_disjointness, samples), (_narrowing, samples), (_intersection, samples),
+    )
+    return [_sampled(name, trial(s), n) for name, (trial, n) in zip(PROPERTY_NAMES, trials, strict=True)]
 
 
 def format_reports(reports: Sequence[AxiomReport]) -> str:

@@ -80,23 +80,10 @@ def int_text(n: int) -> str:
 
 # -- fast fraction plumbing --------------------------------------------------
 
-def _probe_raw_fraction() -> bool:
-    try:
-        f = Fraction.__new__(Fraction)
-        f._numerator = 1
-        f._denominator = 2
-        return f == Fraction(1, 2)
-    except (AttributeError, TypeError):
-        return False
-
-
-_RAW_OK = _probe_raw_fraction()
-
-
 def _raw_fraction(num: int, den: int) -> Fraction:
     # Caller guarantees canonical form: den > 0, gcd(|num|, den) == 1.
-    if not _RAW_OK:
-        return Fraction(num, den)
+    # Fills Fraction's private slots directly; tests/test_intervals.py pins
+    # that the result equals Fraction(num, den) on every supported Python.
     f = Fraction.__new__(Fraction)
     f._numerator = num
     f._denominator = den

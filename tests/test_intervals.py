@@ -11,6 +11,7 @@ from realoracle.intervals import (
     RInterval,
     _q_le,
     _q_sub,
+    _raw_fraction,
     dyadic,
     format_interval,
     format_rational,
@@ -176,6 +177,27 @@ class TestRationalPlumbing:
     @given(n=st.integers(min_value=-10**9, max_value=10**9), k=st.integers(min_value=0, max_value=80))
     def test_dyadic_matches_fraction(self, n, k):
         assert dyadic(n, k) == F(n, 2**k)
+
+
+def _same_fraction(got, want):
+    assert type(got) is F
+    assert (got.numerator, got.denominator, hash(got)) == (want.numerator, want.denominator, hash(want))
+    assert got == want and str(got) == str(want) and got + 0 == want
+
+
+class TestRawFraction:
+    # _raw_fraction fills Fraction's private slots without a gcd; these
+    # pin that layout on every interpreter the suite runs on.
+    @given(q=st.one_of(rationals, st.fractions(max_denominator=2**200)),
+           big=st.integers(min_value=-(2**300), max_value=2**300))
+    @example(q=F(1, 2**61 - 1), big=0)  # the hash modulus as a denominator
+    def test_raw_fraction_is_a_fraction(self, q, big):
+        _same_fraction(_raw_fraction(q.numerator, q.denominator), q)
+        _same_fraction(_raw_fraction(big, 1), F(big))
+
+    @given(n=st.integers(min_value=-(2**200), max_value=2**200), k=st.integers(min_value=-80, max_value=300))
+    def test_dyadic_is_a_fraction(self, n, k):
+        _same_fraction(dyadic(n, k), F(n) / F(2) ** k)
 
 
 class TestLongText:
