@@ -23,11 +23,11 @@ from .intervals import (
     dyadic,
     format_rational,
 )
-from .oracle import LocateHint, Oracle, Placement, _log2_floor, _meet
+from .oracle import LocateHint, Oracle, Placement, _log2_floor, _meet, _stern_brocot
 
-# Construction-time locate calls spent hunting for a rational root of a
-# bracketed zero. Enough for shallow roots like 1/3; irrational zeros burn
-# the cap and stay unrooted.
+# Stern-Brocot mediants probed, after the floor of the bracket, when hunting
+# a rational root of a bracketed zero. Enough for shallow roots like 1/3;
+# irrational zeros burn the cap and stay unrooted.
 _ROOT_PROBE_STEPS = 32
 
 
@@ -252,24 +252,6 @@ def _distinct_zeros(coeffs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction) ->
     return variations(lo) - variations(hi) + (not _homogeneous(chain[0], lo.numerator, lo.denominator)), chain[0]
 
 
-def _probe_rational_root(hint, lo: Fraction, steps: int) -> Optional[Fraction]:
-    # Bounded hunt for a rational zero: a Stern-Brocot descent between
-    # floor(lo) and 1/0, whose first mediants sweep the integers upwards.
-    pl, ql, ph, qh = math.floor(lo), 1, 1, 0
-    if hint(Fraction(pl)) is Placement.EQUAL:
-        return Fraction(pl)
-    for _ in range(steps):
-        mp, mq = pl + ph, ql + qh
-        placement = hint(Fraction(mp, mq))
-        if placement is Placement.EQUAL:
-            return Fraction(mp, mq)
-        if placement is Placement.GREATER:
-            pl, ql = mp, mq
-        else:
-            ph, qh = mp, mq
-    return None
-
-
 class _Bisection:
     """Halve lo:hi for ever, steered by the placement of the midpoint:
     GREATER and EQUAL move lo there, anything but GREATER (None is "at
@@ -400,7 +382,9 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     elif sign_hi == 0:
         root = hi
     else:
-        root = _probe_rational_root(hint, lo, _ROOT_PROBE_STEPS)
+        # A rational zero within the probe's reach is where the descent lands.
+        probe = itertools.islice(_stern_brocot(hint, math.floor(lo)), _ROOT_PROBE_STEPS + 1)
+        root = next((_raw_fraction(p, q) for p, q, at in probe if at is Placement.EQUAL), None)
 
     return Oracle(
         lambda: _Bisection(lo, hi, place, squarefree),

@@ -245,8 +245,13 @@ class RInterval:
     def mul(self, other: "RInterval") -> "RInterval":
         a, b = self.lo, self.hi
         c, d = other.lo, other.hi
-        products = (a * c, a * d, b * c, b * d)
-        return _interval_raw(min(products), max(products))
+        lo = hi = a * c
+        for p in (a * d, b * c, b * d):
+            if _q_le(p, lo):
+                lo = p
+            elif _q_le(hi, p):
+                hi = p
+        return _interval_raw(lo, hi)
 
     def recip(self) -> "RInterval":
         if self.lo <= 0 <= self.hi:

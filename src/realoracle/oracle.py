@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidFonsi
-from .intervals import RInterval, _interval_raw, _q_le, as_rational, format_rational
+from .intervals import RInterval, _interval_raw, _q_le, _raw_fraction, as_rational, format_rational
 
 QueryRule = Callable[[RInterval], "Optional[QueryResult]"]
 LocateHint = Callable[[Fraction], "Optional[Placement]"]
@@ -59,6 +59,27 @@ class Placement(Enum):
     EQUAL = "Equal"
     GREATER = "Greater"
     EXHAUSTED = "Exhausted"
+
+
+def _stern_brocot(place: LocateHint, floor: int) -> Iterator[Tuple[int, int, Optional[Placement]]]:
+    """Stern-Brocot descent towards the number that ``place`` places.
+
+    Yields ``(p, q, place(p/q))`` for ``floor/1``, then for each mediant of
+    the frame ends, which start at ``floor/1`` and ``1/0``. GREATER moves
+    the lower end to the mediant and anything else the upper end, so the
+    first mediants sweep the integers upwards. Stops after the first EQUAL.
+    """
+    pl, ql, ph, qh = floor, 1, 1, 0
+    placement = place(_raw_fraction(floor, 1))
+    yield floor, 1, placement
+    while placement is not Placement.EQUAL:
+        p, q = pl + ph, ql + qh
+        placement = place(_raw_fraction(p, q))
+        yield p, q, placement
+        if placement is Placement.GREATER:
+            pl, ql = p, q
+        else:
+            ph, qh = p, q
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import BudgetExhausted, OracleError
 from .intervals import RInterval, int_text
-from .oracle import Budget, Oracle, Placement, QueryResult, target_bits
+from .oracle import Budget, Oracle, Placement, QueryResult, _stern_brocot, target_bits
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class CFExpansion:
     ``terms[0]`` may be any integer, later terms are at least 1.
     ``exact_terminated`` is set when the traversal landed exactly on the
     number, in which case the last convergent is that rational. ``steps``
-    counts mediant probes, the quantity bounded by the sum of the terms on
-    rational targets.
+    counts the mediants probed past the integer part (denominator above 1),
+    a quantity bounded by the sum of the terms on rational targets.
     """
 
     terms: Tuple[int, ...]
@@ -80,153 +80,84 @@ def _locate_strict(oracle: Oracle, point: Fraction, budget: Budget) -> Placement
     return placement
 
 
-class _MediantWalk:
-    """Stern-Brocot descent emitting continued-fraction terms.
-
-    The integer part comes from a locate sweep. The fractional descent
-    probes mediants; runs of same-direction moves become terms. Landing
-    exactly on a mediant ends the walk with the final term adjusted by one,
-    matching the canonical expansion of the rational.
-    """
-
-    def __init__(self, oracle: Oracle, budget: Budget):
-        self.oracle = oracle
-        self.budget = budget
-        self.steps = 0
-        self.done = False
-        self._h_prev: Tuple[int, int] = (1, 0)
-        self._h_curr: Optional[Tuple[int, int]] = None
-        anchor = oracle.refine(Fraction(1), budget)
-        if anchor is None:
-            raise BudgetExhausted(
-                f"no width-1 enclosure of {oracle.label} within {budget.steps} steps"
-            )
-        floor = math.floor(anchor.lo)
-        first = _locate_strict(oracle, Fraction(floor), budget)
-        while first is Placement.GREATER:
-            after = _locate_strict(oracle, Fraction(floor + 1), budget)
-            if after is Placement.LESS:
-                break
-            floor += 1
-            first = after
-        if first is Placement.EQUAL:
-            self.done = True
-        self._pending_term = floor
-        self._frame_lo = (floor, 1)
-        self._frame_hi = (floor + 1, 1)
-        self._run_dir: Optional[Placement] = Placement.LESS
-        self._run_len = 1
-
-    def _emit(self, term: int) -> Tuple[int, Fraction]:
-        p1, q1 = self._h_curr if self._h_curr is not None else (term, 1)
-        if self._h_curr is None:
-            self._h_curr = (term, 1)
-        else:
-            p0, q0 = self._h_prev
-            self._h_prev = self._h_curr
-            self._h_curr = (term * p1 + p0, term * q1 + q0)
-        return term, Fraction(*self._h_curr)
-
-    def next_term(self) -> Optional[Tuple[int, Fraction]]:
-        """The next (term, convergent) pair, or None after exact termination."""
-        if self._pending_term is not None:
-            term = self._pending_term
-            self._pending_term = None
-            return self._emit(term)
-        if self.done:
-            return None
-        while True:
-            pl, ql = self._frame_lo
-            ph, qh = self._frame_hi
-            mediant = Fraction(pl + ph, ql + qh)
-            self.steps += 1
-            placement = _locate_strict(self.oracle, mediant, self.budget)
-            if placement is Placement.EQUAL:
-                self.done = True
-                term, convergent = self._emit(self._run_len + 1)
-                if convergent != mediant:
-                    raise OracleError(
-                        f"continued fraction bookkeeping diverged: {convergent} != {mediant}"
-                    )
-                return term, convergent
-            if placement is Placement.GREATER:
-                self._frame_lo = (pl + ph, ql + qh)
-            else:
-                self._frame_hi = (pl + ph, ql + qh)
-            if placement is self._run_dir:
-                self._run_len += 1
-            else:
-                finished = self._run_len
-                self._run_dir = placement
-                self._run_len = 1
-                return self._emit(finished)
+def _descent(oracle: Oracle, budget: Budget) -> Tuple[int, Iterator[Tuple[int, int, Optional[Placement]]]]:
+    # The floor of a width-1 enclosure, and the Stern-Brocot descent from it
+    # placed by locate.
+    anchor = oracle.refine(Fraction(1), budget)
+    if anchor is None:
+        raise BudgetExhausted(
+            f"no width-1 enclosure of {oracle.label} within {budget.steps} steps"
+        )
+    floor = math.floor(anchor.lo)
+    return floor, _stern_brocot(lambda point: _locate_strict(oracle, point, budget), floor)
 
 
 def mediant_expand(oracle: Oracle, max_terms: int, budget: Budget) -> CFExpansion:
-    """Up to ``max_terms`` continued-fraction terms of the oracle's number."""
+    """Up to ``max_terms`` continued-fraction terms of the oracle's number.
+
+    The terms are the runs of one placement in the Stern-Brocot descent; the
+    probe of the floor opens the run of GREATER moves that makes the integer
+    part. Landing exactly on a mediant adds one to the last run, which gives
+    the canonical expansion of the rational.
+    """
     if max_terms < 1:
         raise ValueError("need at least one term")
-    walk = _MediantWalk(oracle, budget)
-    terms: List[int] = []
-    convergents: List[Fraction] = []
-    while len(terms) < max_terms:
-        got = walk.next_term()
-        if got is None:
+    floor, descent = _descent(oracle, budget)
+    terms = [floor - 1]
+    run = Placement.GREATER
+    steps = 0
+    exact = False
+    for p, q, placement in descent:
+        steps += q > 1
+        if placement is Placement.EQUAL or placement is run:
+            terms[-1] += 1
+            exact = placement is Placement.EQUAL
+        elif len(terms) == max_terms:
             break
-        terms.append(got[0])
-        convergents.append(got[1])
-    return CFExpansion(tuple(terms), tuple(convergents), walk.done, walk.steps)
+        else:
+            terms.append(1)
+            run = placement
+    convergents: List[Fraction] = []
+    h, k, h_prev, k_prev = 1, 0, 0, 1
+    for term in terms:
+        h, k, h_prev, k_prev = term * h + h_prev, term * k + k_prev, h, k
+        convergents.append(Fraction(h, k))
+    if exact and convergents[-1] != Fraction(p, q):
+        raise OracleError(f"continued fraction bookkeeping diverged: {convergents[-1]} != {p}/{q}")
+    return CFExpansion(tuple(terms), tuple(convergents), exact, steps)
 
 
 def best_approx(oracle: Oracle, max_denominator: int, budget: Budget) -> Fraction:
     """The fraction with denominator at most ``max_denominator`` closest to
     the oracle's number.
 
-    Candidates are the last convergent that fits and the deepest
-    semiconvergent that fits; the exact midpoint locate decides between
-    them. Equidistant ties go to the smaller denominator, then the smaller
-    numerator.
+    The Stern-Brocot descent stops before its first mediant with a larger
+    denominator. Its frame ends are then the number's two Farey neighbours
+    of that order, and the exact midpoint locate picks the nearer; so at
+    most ``max_denominator + 3`` points are located. Equidistant ties go to
+    the smaller denominator, then the smaller numerator.
     """
     if max_denominator < 1:
         raise ValueError("denominator bound must be at least 1")
-    walk = _MediantWalk(oracle, budget)
-    fits: List[Fraction] = []
-    overflow: Optional[Fraction] = None
-    while True:
-        got = walk.next_term()
-        if got is None:
-            break
-        convergent = got[1]
-        if convergent.denominator <= max_denominator:
-            fits.append(convergent)
-            if walk.done:
-                return convergent
+    floor, descent = _descent(oracle, budget)
+    lo, hi = (floor, 1), (1, 0)
+    for p, q, placement in descent:
+        if placement is Placement.EQUAL:
+            return Fraction(p, q)
+        if placement is Placement.GREATER:
+            lo = (p, q)
         else:
-            overflow = convergent
+            hi = (p, q)
+        if lo[1] + hi[1] > max_denominator:
             break
-    if overflow is None:
-        return fits[-1]
-    candidate = fits[-1]
-    prev_q = fits[-2].denominator if len(fits) >= 2 else 0
-    prev_p = fits[-2].numerator if len(fits) >= 2 else 1
-    jumps = (max_denominator - prev_q) // candidate.denominator
-    if jumps < 1:
-        return candidate
-    semi = Fraction(
-        prev_p + jumps * candidate.numerator,
-        prev_q + jumps * candidate.denominator,
-    )
-    low, high = (candidate, semi) if candidate < semi else (semi, candidate)
-    mid = (low + high) / 2
-    placement = _locate_strict(oracle, mid, budget)
+    low, high = Fraction(*lo), Fraction(*hi)
+    placement = _locate_strict(oracle, (low + high) / 2, budget)
     if placement is Placement.LESS:
         return low
     if placement is Placement.GREATER:
         return high
-    # Exactly equidistant: deterministic tie-break.
-    if low.denominator != high.denominator:
-        return low if low.denominator < high.denominator else high
-    return low if low.numerator < high.numerator else high
+    # Exactly equidistant: the smaller denominator, then the smaller numerator.
+    return min(low, high, key=lambda f: (f.denominator, f.numerator))
 
 
 @dataclass(frozen=True)

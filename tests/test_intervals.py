@@ -252,6 +252,16 @@ class TestOrderPrimitives:
         assert interval_make(q, q).is_singleton
 
     @given(_pooled(4))
+    @example([F(-1, 2), F(1, 3), F(-2), F(3, 4)])
+    @example([F(-1, 3), F(1, 2), F(-1, 2), F(1, 3)])
+    def test_mul_agrees_with_fraction_products(self, points):
+        a, b, c, d = points
+        i, j = interval_make(a, b), interval_make(c, d)
+        got = i.mul(j)
+        products = [F(x) * y for x in (i.lo, i.hi) for y in (j.lo, j.hi)]
+        assert (_exact(got.lo), _exact(got.hi)) == (_exact(min(products)), _exact(max(products)))
+
+    @given(_pooled(4))
     def test_sub_agrees_with_fraction_subtraction(self, points):
         a, b, c, d = points
         i, j = interval_make(a, b), interval_make(c, d)

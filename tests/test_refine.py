@@ -8,7 +8,6 @@ from realoracle.arithmetic import o_add, o_neg
 from realoracle.constructors import (
     SignFunction,
     UpperBoundTest,
-    iroot,
     ivt_oracle,
     lub_oracle,
     nth_root_oracle,
@@ -568,6 +567,71 @@ class TestDescentGolden:
 
     def test_opaque_zero_probe(self):
         assert " ".join(str(r) for r in opaque_zero_rooted()) == DESCENT_ROOTED
+
+
+class TestBestApproxCost:
+    """best_approx locates at most ``max_denominator + 3`` points, however
+    large the continued-fraction term that overflows the bound."""
+
+    def test_large_term_is_not_walked(self):
+        # sqrt(10**10 + 1) = [100000; 200000, ...]
+        for n in (10, 1000):
+            o = nth_root_oracle(2, 10**10 + 1)
+            points = recorded(o)
+            assert best_approx(o, n, Budget(10)) == 100000
+            assert len(points) <= n + 3
+
+    @staticmethod
+    def brute_force(side, floor_times, limit):
+        # The nearest p/q over q <= limit, where q offers floor(x*q) and one
+        # more. Of a < b, a is nearer iff x < (a + b)/2. A tie keeps the
+        # earlier candidate: the smaller denominator, then the smaller
+        # numerator.
+        best = None
+        for den in range(1, limit + 1):
+            base = floor_times(den)
+            for cand in (F(base, den), F(base + 1, den)):
+                if best is None:
+                    best = cand
+                    continue
+                s = side((best + cand) / 2)
+                if s != 0 and (s < 0) == (cand < best):
+                    best = cand
+        return best
+
+    def test_brute_force_over_roots_and_rationals(self):
+        def int_root(v, n):
+            r = int(round(v ** (1.0 / n)))
+            while r**n > v:
+                r -= 1
+            while (r + 1) ** n <= v:
+                r += 1
+            return r
+
+        def root_case(n, m):
+            # x = m**(1/n); side(c) is the sign of x - c.
+            def side(c):
+                if c <= 0:
+                    return 1
+                diff = m * c.denominator**n - c.numerator**n
+                return (diff > 0) - (diff < 0)
+
+            return (lambda: nth_root_oracle(n, m)), side, lambda den: int_root(m * den**n, n)
+
+        def rational_case(r):
+            return (lambda: rational_oracle(r)), (lambda c: (r > c) - (r < c)), lambda den: math.floor(r * den)
+
+        rng = random.Random(29)
+        cases = [root_case(rng.randint(2, 4), rng.randint(2, 10**5)) for _ in range(6)]
+        cases += [root_case(2, 90**2 + 1), root_case(3, 7**3 - 1)]
+        cases += [rational_case(F(-rng.randint(1, 900), rng.randint(1, 40))) for _ in range(6)]
+        cases += [rational_case(F(rng.randint(-900, 900), rng.randint(61, 5000))) for _ in range(6)]
+        for make, side, floor_times in cases:
+            for limit in range(1, 61):
+                o = make()
+                points = recorded(o)
+                assert best_approx(o, limit, AMPLE) == self.brute_force(side, floor_times, limit), (o.label, limit)
+                assert len(points) <= limit + 3
 
 
 class TestToDecimal:
