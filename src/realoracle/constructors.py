@@ -7,6 +7,7 @@ bounds of sets given by a monotone upper-bound test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,17 +18,18 @@ from .errors import InvalidBounds, InvalidBracket, UnsupportedDomain
 from .intervals import (
     RInterval,
     _interval_raw,
+    _q_le,
     _raw_fraction,
     RationalLike,
     as_rational,
     dyadic,
     format_rational,
 )
-from .oracle import LocateHint, Oracle, Placement, _log2_floor, _meet, _stern_brocot
+from .oracle import LocateHint, Oracle, Placement, _locate_verdict, _log2_floor, _meet, _stern_brocot
 
 # Stern-Brocot mediants probed, after the floor of the bracket, when hunting
 # a rational root of a bracketed zero. Enough for shallow roots like 1/3;
-# irrational zeros burn the cap and stay unrooted.
+# irrational zeros of opaque signs burn the cap and stay unrooted.
 _ROOT_PROBE_STEPS = 32
 
 
@@ -151,7 +153,7 @@ def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
     root = _exact_nth_root(value, n)
 
     def hint(point: Fraction) -> Placement:
-        if point <= 0:
+        if point.numerator <= 0:
             return Placement.GREATER
         lhs = point.numerator ** n * den
         rhs = num * point.denominator ** n
@@ -211,39 +213,55 @@ def _homogeneous(poly: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
-    # Coefficients high to low, b[0] nonzero; the remainder has no leading zeros.
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of ``|b[0]|**(len(a) - len(b) + 1) * a`` by
+    ``b``, in integers, coefficients high to low, ``b[0]`` nonzero. The
+    factor is positive, so both are positive multiples of those of exact
+    division. The remainder has no leading zeros."""
+    lead, sign = abs(b[0]), (b[0] > 0) - (b[0] < 0)
     a, quotient = list(a), []
     while len(a) >= len(b):
-        f = a[0] / b[0]
-        quotient.append(f)
-        a = [x - f * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        f = a[0] * sign
+        quotient = [c * lead for c in quotient] + [f]
+        a = [lead * x - f * y for x, y in zip(a[1:], b[1:])] + [lead * x for x in a[len(b):]]
     while a and not a[0]:
         a.pop(0)
     return quotient, a
 
 
+def _primitive(poly: List[int]) -> List[int]:
+    # The polynomial over the gcd of its coefficients, a positive divisor.
+    content = math.gcd(*poly)
+    return [c // content for c in poly]
+
+
 def _distinct_zeros(coeffs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction) -> Tuple[Optional[int], List[int]]:
     """How many distinct real zeros the polynomial (coefficients low to high)
-    has in [lo, hi], None for the zero polynomial; and a multiple of its
-    square-free part in integers, high to low.
+    has in [lo, hi], None for the zero polynomial; and its square-free part
+    as a primitive integer polynomial, high to low.
 
-    Sturm's theorem over exact rationals: the sequence p, p', -rem, ...
-    divided by its last member is the Sturm sequence of p's square-free
-    part, whose sign variations fall by one at each zero, from left to
-    right, and not at lo when it is a zero.
+    Sturm's theorem in integers (Collins' primitive remainder sequence):
+    the sequence p, p', -rem, ... divided by its last member is the Sturm
+    sequence of p's square-free part, whose sign variations fall by one at
+    each zero, from left to right, and not at lo when it is a zero. Each
+    member is a positive multiple of the exact one: pseudo-division scales
+    by a positive power and division by the content keeps the sign.
     """
-    p = list(reversed(coeffs))
+    p = _cleared(coeffs[::-1])
     while p and not p[0]:
         p.pop(0)
     if not p:
         return None, p
     degree = len(p) - 1
-    chain = [p, [c * (degree - i) for i, c in enumerate(p[:-1])]]
+    chain = [_primitive(p), _primitive([c * (degree - i) for i, c in enumerate(p[:-1])])]
     while chain[-1]:
-        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+        chain.append(_primitive([-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]))
     chain.pop()
-    chain = [_cleared(_poly_divmod(poly, chain[-1])[0]) for poly in chain]
+    last = chain[-1]
+    if len(last) > 1:  # p has a multiple zero: divide its factor out
+        chain = [_primitive(_pseudo_divmod(poly, last)[0]) for poly in chain]
+    else:  # a primitive constant is 1 or -1
+        chain = [[c * last[0] for c in poly] for poly in chain]
 
     def variations(x: Fraction) -> int:
         values = [v for v in (_homogeneous(poly, x.numerator, x.denominator) for poly in chain) if v]
@@ -335,6 +353,27 @@ class _Bisection:
         return False
 
 
+def _rational_zero(lo: Fraction, hi: Fraction, place: LocateHint, squarefree: Sequence[int]) -> Optional[Fraction]:
+    """The zero that ``place`` brackets in lo:hi if it is rational, else None.
+
+    A rational zero of the integer polynomial ``squarefree``, leading
+    coefficient a, is a multiple of 1/|a| (the rational-root theorem).
+    Bisection certifies a cell of width at most 1/|a| whose open interior
+    holds the zero, so the one multiple inside it, if any, is the only
+    candidate: one ``place`` call decides it.
+    """
+    a = abs(squarefree[0])
+    cells = _Bisection(lo, hi, place, squarefree)
+    next(cells)  # depth 0, the bracket: a seek starts from there
+    cell = cells.seek((a - 1).bit_length())
+    if cell.is_singleton:
+        return cell.lo
+    candidate = Fraction(cell.lo.numerator * a // cell.lo.denominator + 1, a)
+    if _q_le(cell.hi, candidate) or place(candidate) is not Placement.EQUAL:
+        return None
+    return candidate
+
+
 def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     """The zero of a function bracketed by a sign change on [a, b].
 
@@ -343,7 +382,10 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     :func:`polynomial_sign`, and for other sign functions the caller
     asserts it. A subinterval x:y of the bracket is Yes iff
     sign(f(x)) * sign(f(y)) <= 0; intervals beyond the bracket inherit
-    their answer from the piece they share with it.
+    their answer from the piece they share with it. The zero is the root
+    when a Stern-Brocot probe of ``_ROOT_PROBE_STEPS`` mediants reaches
+    it; a polynomial sign probes only a zero the rational-root theorem
+    finds rational.
     """
     lo, hi = as_rational(a), as_rational(b)
     if lo >= hi:
@@ -370,21 +412,31 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
         return Placement.GREATER if s == sign_lo else Placement.LESS
 
     def hint(point: Fraction) -> Placement:
-        if point < lo:
+        if not _q_le(lo, point):
             return Placement.GREATER
-        if point > hi:
+        if not _q_le(point, hi):
             return Placement.LESS
         return place(point)
+
+    def probe(steer: LocateHint) -> Optional[Fraction]:
+        # A rational zero within the probe's reach is where the descent lands.
+        items = itertools.islice(_stern_brocot(steer, math.floor(lo)), _ROOT_PROBE_STEPS + 1)
+        return next((_raw_fraction(p, q) for p, q, at in items if at is Placement.EQUAL), None)
 
     root: Optional[Fraction]
     if sign_lo == 0:
         root = lo
     elif sign_hi == 0:
         root = hi
+    elif squarefree is None:
+        root = probe(hint)
     else:
-        # A rational zero within the probe's reach is where the descent lands.
-        probe = itertools.islice(_stern_brocot(hint, math.floor(lo)), _ROOT_PROBE_STEPS + 1)
-        root = next((_raw_fraction(p, q) for p, q, at in probe if at is Placement.EQUAL), None)
+        # The probe can only land on a rational zero within its reach, and
+        # both are decided without its sign calls. It runs only then, so
+        # coefficients that disagree with the sign never gain a root.
+        zero = _rational_zero(lo, hi, place, squarefree)
+        reached = zero is not None and probe(functools.partial(_locate_verdict, RInterval(zero, zero))) is not None
+        root = probe(hint) if reached else None
 
     return Oracle(
         lambda: _Bisection(lo, hi, place, squarefree),

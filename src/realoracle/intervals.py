@@ -243,15 +243,19 @@ class RInterval:
         return _interval_raw(_q_sub(self.lo, other.hi), _q_sub(self.hi, other.lo))
 
     def mul(self, other: "RInterval") -> "RInterval":
+        # Moore's sign cases: two products, or four when both straddle zero.
         a, b = self.lo, self.hi
         c, d = other.lo, other.hi
-        lo = hi = a * c
-        for p in (a * d, b * c, b * d):
-            if _q_le(p, lo):
-                lo = p
-            elif _q_le(hi, p):
-                hi = p
-        return _interval_raw(lo, hi)
+        if a.numerator >= 0:
+            return _interval_raw(a * c if c.numerator >= 0 else b * c, b * d if d.numerator >= 0 else a * d)
+        if b.numerator <= 0:
+            return _interval_raw(a * d if d.numerator >= 0 else b * d, b * c if c.numerator >= 0 else a * c)
+        if c.numerator >= 0:
+            return _interval_raw(a * d, b * d)
+        if d.numerator <= 0:
+            return _interval_raw(b * c, a * c)
+        lo, hi, p, q = a * d, a * c, b * c, b * d
+        return _interval_raw(p if _q_le(p, lo) else lo, q if _q_le(hi, q) else hi)
 
     def recip(self) -> "RInterval":
         if self.lo <= 0 <= self.hi:

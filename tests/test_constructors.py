@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -38,6 +39,20 @@ def doubling_sum_spec(limit=F(2)):
         return max(0, (inv - 1).bit_length())
 
     return CauchySpec(term=term, modulus=modulus, known_limit=limit)
+
+
+def cf_terms(q):
+    """Continued-fraction terms of a rational, by Euclid."""
+    p, d, terms = q.numerator, q.denominator, []
+    while d:
+        terms.append(p // d)
+        p, d = d, p - terms[-1] * d
+    return terms
+
+
+def poly_times(a, b):
+    """The product of two polynomials, coefficients low to high."""
+    return [sum(a[j] * b[i - j] for j in range(len(a)) if 0 <= i - j < len(b)) for i in range(len(a) + len(b) - 1)]
 
 
 class TestIroot:
@@ -346,11 +361,75 @@ class TestIvtZeroCount:
                 with pytest.raises(InvalidBracket):
                     ivt_oracle(sign, lo, hi)
 
+    def test_count_matches_factors_with_multiplicity_and_quadratics(self):
+        rng = random.Random(15)
+        primes = (2, 3, 5, 7, 11, 13)
+        for _ in range(400):
+            rational = {F(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 5))) for _ in range(rng.randint(0, 3))}
+            squares = set(rng.sample(primes, rng.randint(0, 2)))  # x**2 - m: zeros +-sqrt(m)
+            factors = [[-z, 1] for z in rational for _ in range(rng.choice((1, 1, 2, 3)))]
+            factors += [[-m, 0, 1] for m in squares]
+            factors += [[rng.randint(1, 9), rng.randint(-2, 2), 1] for _ in range(rng.randint(0, 1))]  # no real zero
+            coeffs = [F(rng.choice((1, -1))) * rng.choice((1, 6, F(2, 3), F(-35, 4)))]  # not primitive, not integral
+            for factor in factors:
+                coeffs = poly_times(coeffs, factor)
+            if rational and rng.random() < 0.3:  # a zero at an end
+                lo = rng.choice(sorted(rational))
+                hi = lo + F(rng.randint(1, 8), rng.choice((1, 2)))
+            else:
+                lo = F(rng.randint(-14, 13), rng.choice((1, 2, 3)))
+                hi = lo + F(rng.randint(1, 14), rng.choice((1, 2, 3)))
+            inside = sum(lo <= z <= hi for z in rational)
+            for m in squares:  # sqrt(m) is irrational, so no end is a zero
+                inside += (hi > 0 and hi * hi > m and (lo < 0 or lo * lo < m))
+                inside += (lo < 0 and lo * lo > m and (hi > 0 or hi * hi < m))
+            ends = [sum(c * x**i for i, c in enumerate(coeffs)) for x in (lo, hi)]
+            sign = polynomial_sign(coeffs)
+            if ends[0] * ends[1] > 0:
+                with pytest.raises(InvalidBracket, match="no sign change"):
+                    ivt_oracle(sign, lo, hi)
+            elif inside == 1:
+                o = ivt_oracle(sign, lo, hi)
+                if 0 in ends:
+                    assert o.root == (lo if ends[0] == 0 else hi)
+            else:
+                with pytest.raises(InvalidBracket, match=f"has {inside} distinct zeros"):
+                    ivt_oracle(sign, lo, hi)
+
     def test_opaque_sign_function_is_the_callers_assertion(self):
         poly = polynomial_sign([0, 1, 0, -1])
         assert SignFunction(poly.eval_sign).coeffs is None
         o = ivt_oracle(SignFunction(poly.eval_sign), -2, 2)
         assert o.refine(F(1, 2**10), AMPLE) is not None
+
+
+class TestRationalZeroRooting:
+    """A polynomial zero is rooted iff it is rational and its Stern-Brocot
+    path from floor(lo) is at most 32 mediants long: the sum of the
+    continued-fraction terms of zero - floor(lo)."""
+
+    def test_rooted_iff_the_path_is_short(self):
+        rng = random.Random(16)
+        cases = [(F(1, 3), 0, 1, [1], 1), (F(1, 64), 0, 1, [1], 1)]  # 3 and 64 mediants
+        for _ in range(400):
+            zero = F(rng.randint(-60, 60), rng.choice((1, 2, 3, 7, 12, 33, 64, 100)))
+            lo = zero - F(rng.randint(1, 60), rng.choice((1, 2, 3)))
+            hi = zero + F(rng.randint(1, 60), rng.choice((1, 2, 3)))
+            other = rng.choice(([1, 0, 1], [2, rng.randint(-2, 2), 1], [1]))  # no real zero
+            cases.append((zero, lo, hi, other, rng.choice((1, 3))))
+        reach = {True: 0, False: 0}
+        for zero, lo, hi, other, multiplicity in cases:
+            coeffs = [F(rng.choice((1, -2, 5, F(3, 7))))]
+            for factor in [[-zero, 1]] * multiplicity + [other]:
+                coeffs = poly_times(coeffs, factor)
+            short = sum(cf_terms(zero - math.floor(lo))) <= 32
+            reach[short] += 1
+            assert ivt_oracle(polynomial_sign(coeffs), lo, hi).root == (zero if short else None), (coeffs, lo, hi)
+        assert min(reach.values()) > 50
+
+    def test_irrational_zeros_stay_unrooted(self):
+        for coeffs, a, b in (([-2, 0, 1], 1, 2), ([-2, 0, 9], 0, 1), ([-1, -1, 1], 1, 2), ([-7, 0, 0, 64], 0, 1)):
+            assert ivt_oracle(polynomial_sign(coeffs), a, b).root is None
 
 
 class TestOneExactTestPerLeaf:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -260,6 +261,19 @@ class TestOrderPrimitives:
         got = i.mul(j)
         products = [F(x) * y for x in (i.lo, i.hi) for y in (j.lo, j.hi)]
         assert (_exact(got.lo), _exact(got.hi)) == (_exact(min(products)), _exact(max(products)))
+
+    def test_mul_agrees_with_fraction_products_in_every_sign_case(self):
+        # Every pair of negative, zero-ended, straddling and positive operands.
+        big = dyadic(2**5000 + 1, 4999)
+        ends = [-big, -2, F(-1, 3), 0, F(0), F(1, 2), 3, big]
+        cases = set()
+        for a, b, c, d in itertools.product(ends, repeat=4):
+            i, j = interval_make(a, b), interval_make(c, d)
+            got = i.mul(j)
+            products = [F(x) * y for x in (i.lo, i.hi) for y in (j.lo, j.hi)]
+            assert (_exact(got.lo), _exact(got.hi)) == (_exact(min(products)), _exact(max(products))), (i, j)
+            cases.add(tuple(((e > 0) - (e < 0)) for e in (i.lo, i.hi, j.lo, j.hi)))
+        assert len(cases) == 6 * 6  # sign pairs per operand: --, -0, -+, 00, 0+, ++
 
     @given(_pooled(4))
     def test_sub_agrees_with_fraction_subtraction(self, points):

@@ -218,6 +218,44 @@ class TestZeroSeek:
         assert o.enclosure == nth(make().refiner(), 19)
 
 
+class TestZeroBuildCost:
+    """Building a polynomial zero decides its rationality by the
+    rational-root theorem, with a few sign calls instead of a probe."""
+
+    @staticmethod
+    def irrational_zeros(count):
+        rng = random.Random(2024)
+        while count:
+            degree = rng.randint(2, 5)
+            coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((1, -1)) * rng.randint(1, 9)]
+            k = rng.randint(-4, 4)
+            values = [sum(c * x**i for i, c in enumerate(coeffs)) for x in (F(k), F(k + 1))]
+            if values[0] * values[1] >= 0:
+                continue
+            # A rational zero p/q in k:k+1 has q dividing the leading coefficient.
+            candidates = [F(p, q) for q in range(1, 10) for p in range(k * q, (k + 1) * q + 1)]
+            if any(sum(c * x**i for i, c in enumerate(coeffs)) == 0 for x in candidates):
+                continue
+            try:
+                ivt_oracle(polynomial_sign(coeffs), k, k + 1)
+            except InvalidBracket:
+                continue
+            count -= 1
+            yield coeffs, k
+
+    def test_irrational_zero_builds_with_few_sign_calls(self):
+        for coeffs, k in self.irrational_zeros(200):
+            sign, calls = counted(polynomial_sign(coeffs).eval_sign, coeffs)
+            o = ivt_oracle(sign, k, k + 1)
+            assert o.root is None
+            assert len(calls) <= 10, (coeffs, k, len(calls))
+
+    def test_the_stream_still_starts_at_the_bracket(self):
+        for coeffs, k in itertools.islice(self.irrational_zeros(200), 20):
+            o = ivt_oracle(polynomial_sign(coeffs), k, k + 1)
+            assert next(o.refiner()) == RInterval(F(k), F(k + 1))
+
+
 def exp_spec(r, asked):
     """exp(r), 0 < r <= 1, by Taylor partial sums; ``asked`` records the
     eps of every modulus call and the index of every term call."""
