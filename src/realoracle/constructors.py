@@ -7,7 +7,6 @@ bounds of sets given by a monotone upper-bound test.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,11 +24,11 @@ from .intervals import (
     dyadic,
     format_rational,
 )
-from .oracle import LocateHint, Oracle, Placement, _locate_verdict, _log2_floor, _meet, _stern_brocot
+from .oracle import LocateHint, Oracle, Placement, _log2_floor, _meet, _stern_brocot
 
 # Stern-Brocot mediants probed, after the floor of the bracket, when hunting
-# a rational root of a bracketed zero. Enough for shallow roots like 1/3;
-# irrational zeros of opaque signs burn the cap and stay unrooted.
+# a rational root of a zero of an opaque sign. Enough for shallow roots like
+# 1/3; deeper and irrational zeros burn the cap and stay unrooted.
 _ROOT_PROBE_STEPS = 32
 
 
@@ -176,7 +175,10 @@ class SignFunction:
     """An exactly evaluable sign rule: returns -1, 0, or +1 at any rational.
 
     ``coeffs`` holds a polynomial's coefficients (low to high) when the rule
-    is that polynomial's sign; None for an opaque rule.
+    is that polynomial's sign; None for an opaque rule. They are the
+    caller's claim that ``eval_sign`` is that polynomial's sign, as "one
+    zero in the bracket" is the caller's claim for an opaque rule: they
+    count zeros and propose candidates, and only ``eval_sign`` decides.
     """
 
     eval_sign: Callable[[Fraction], int]
@@ -382,10 +384,12 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     :func:`polynomial_sign`, and for other sign functions the caller
     asserts it. A subinterval x:y of the bracket is Yes iff
     sign(f(x)) * sign(f(y)) <= 0; intervals beyond the bracket inherit
-    their answer from the piece they share with it. The zero is the root
-    when a Stern-Brocot probe of ``_ROOT_PROBE_STEPS`` mediants reaches
-    it; a polynomial sign probes only a zero the rational-root theorem
-    finds rational.
+    their answer from the piece they share with it.
+
+    The zero of a polynomial sign is the root iff it is rational: the
+    rational-root test takes one candidate from ``f.coeffs``, and one call
+    of ``f.eval_sign`` decides it. An opaque sign's zero is the root when a
+    Stern-Brocot probe of ``_ROOT_PROBE_STEPS`` mediants reaches it.
     """
     lo, hi = as_rational(a), as_rational(b)
     if lo >= hi:
@@ -418,25 +422,17 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
             return Placement.LESS
         return place(point)
 
-    def probe(steer: LocateHint) -> Optional[Fraction]:
-        # A rational zero within the probe's reach is where the descent lands.
-        items = itertools.islice(_stern_brocot(steer, math.floor(lo)), _ROOT_PROBE_STEPS + 1)
-        return next((_raw_fraction(p, q) for p, q, at in items if at is Placement.EQUAL), None)
-
     root: Optional[Fraction]
     if sign_lo == 0:
         root = lo
     elif sign_hi == 0:
         root = hi
     elif squarefree is None:
-        root = probe(hint)
+        # A rational zero within the probe's reach is where the descent lands.
+        items = itertools.islice(_stern_brocot(hint, math.floor(lo)), _ROOT_PROBE_STEPS + 1)
+        root = next((_raw_fraction(p, q) for p, q, at in items if at is Placement.EQUAL), None)
     else:
-        # The probe can only land on a rational zero within its reach, and
-        # both are decided without its sign calls. It runs only then, so
-        # coefficients that disagree with the sign never gain a root.
-        zero = _rational_zero(lo, hi, place, squarefree)
-        reached = zero is not None and probe(functools.partial(_locate_verdict, RInterval(zero, zero))) is not None
-        root = probe(hint) if reached else None
+        root = _rational_zero(lo, hi, place, squarefree)
 
     return Oracle(
         lambda: _Bisection(lo, hi, place, squarefree),

@@ -44,7 +44,6 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 from .errors import InvalidFonsi
 from .intervals import RInterval, _interval_raw, _q_le, _raw_fraction, as_rational, format_rational
 
-QueryRule = Callable[[RInterval], "Optional[QueryResult]"]
 LocateHint = Callable[[Fraction], "Optional[Placement]"]
 
 
@@ -131,7 +130,6 @@ class Oracle:
         *,
         root: Optional[Fraction] = None,
         locate_hint: Optional[LocateHint] = None,
-        partial_rule: Optional[QueryRule] = None,
         label: str = "oracle",
     ):
         self._stream_factory = stream_factory
@@ -141,9 +139,7 @@ class Oracle:
         self._best: Optional[RInterval] = None if root is None else _interval_raw(root, root)
         self._root = root
         self._locate_hint = locate_hint
-        if partial_rule is None and locate_hint is not None:
-            partial_rule = _hint_rule(locate_hint)
-        self._partial_rule = partial_rule
+        self._partial_rule = None if locate_hint is None else _hint_rule(locate_hint)
         self._lock = threading.Lock()
         self.label = label
 
@@ -454,7 +450,7 @@ def clamp_to(region: RInterval) -> Callable[[RInterval], Optional[RInterval]]:
     return cut
 
 
-def _hint_rule(hint: LocateHint) -> QueryRule:
+def _hint_rule(hint: LocateHint) -> Callable[[RInterval], Optional[QueryResult]]:
     """The decide rule of an exact locate hint.
 
     ``hint(p)`` places the number relative to ``p``, or is None when it can

@@ -70,16 +70,20 @@ def doubling_sum_oracle():
     return cauchy_oracle(CauchySpec(term=term, modulus=modulus, known_limit=F(2)))
 
 
-def broken_width_oracle():
-    def rule(interval):
+class BrokenWidthOracle(Oracle):
+    """Deliberately broken decide: Yes exactly when the width is at least 1."""
+
+    def decide(self, interval, budget):
         return QueryResult.YES if interval.width >= 1 else QueryResult.NO
 
+
+def broken_width_oracle():
     def stream():
         stuck = interval_make(0, 1)
         while True:
             yield stuck
 
-    return Oracle(stream, partial_rule=rule, label="broken(width>=1)")
+    return BrokenWidthOracle(stream, label="broken(width>=1)")
 
 
 def root_enclosure(radicand_scaled: int, index: int, scale: int):

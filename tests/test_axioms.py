@@ -25,18 +25,20 @@ from realoracle.intervals import interval_make
 from realoracle.oracle import Budget, FonsiSource, Oracle, QueryResult, oracle_from_fonsi
 
 
-def broken_width_oracle():
-    """Deliberately broken rule: Yes exactly when the width is at least 1."""
+class BrokenWidthOracle(Oracle):
+    """Deliberately broken decide: Yes exactly when the width is at least 1."""
 
-    def rule(interval):
+    def decide(self, interval, budget):
         return QueryResult.YES if interval.width >= 1 else QueryResult.NO
 
+
+def broken_width_oracle():
     def stream():
         stuck = interval_make(0, 1)
         while True:
             yield stuck
 
-    return Oracle(stream, partial_rule=rule, label="broken(width>=1)")
+    return BrokenWidthOracle(stream, label="broken(width>=1)")
 
 
 class TestGoodOracles:

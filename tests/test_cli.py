@@ -147,6 +147,12 @@ class TestCommands:
         assert code == 2
         assert out.startswith("Exhausted") and "100" in out
 
+    def test_eval_rational_polyzero_on_a_decimal_boundary(self, capsys):
+        # The zero 1001/2 is rooted, so its digits need no decision at 500.5.
+        code = run_command(["eval", "polyzero(-1001, 2; 0, 1000)", "--digits", "3"])
+        assert capsys.readouterr().out == "500.500 ± 1e-3 (exact)\n"
+        assert code == 0
+
     def test_eval_json_exact_rational_bounds(self, capsys):
         code = run_command(["eval", "1/4 + 1/4", "--digits", "3", "--json"])
         payload = json.loads(capsys.readouterr().out)

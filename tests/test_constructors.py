@@ -404,11 +404,11 @@ class TestIvtZeroCount:
 
 
 class TestRationalZeroRooting:
-    """A polynomial zero is rooted iff it is rational and its Stern-Brocot
-    path from floor(lo) is at most 32 mediants long: the sum of the
-    continued-fraction terms of zero - floor(lo)."""
+    """A polynomial zero is rooted iff it is rational, however long its
+    Stern-Brocot path from floor(lo) (the sum of the continued-fraction
+    terms of zero - floor(lo))."""
 
-    def test_rooted_iff_the_path_is_short(self):
+    def test_every_rational_zero_is_rooted(self):
         rng = random.Random(16)
         cases = [(F(1, 3), 0, 1, [1], 1), (F(1, 64), 0, 1, [1], 1)]  # 3 and 64 mediants
         for _ in range(400):
@@ -424,8 +424,35 @@ class TestRationalZeroRooting:
                 coeffs = poly_times(coeffs, factor)
             short = sum(cf_terms(zero - math.floor(lo))) <= 32
             reach[short] += 1
-            assert ivt_oracle(polynomial_sign(coeffs), lo, hi).root == (zero if short else None), (coeffs, lo, hi)
+            assert ivt_oracle(polynomial_sign(coeffs), lo, hi).root == zero, (coeffs, lo, hi, short)
         assert min(reach.values()) > 50
+
+    def test_a_root_is_a_zero_of_the_sign_whatever_the_coeffs(self):
+        # ``coeffs`` nudged away from ``eval_sign`` may cost a root, never
+        # give a wrong one: only the sign decides.
+        rng = random.Random(22)
+        accepted = rooted = 0
+        for _ in range(600):
+            if rng.random() < 0.5:
+                near = F(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 7)))
+                truth = poly_times([-near, 1], [rng.randint(2, 9), rng.randint(-2, 2), rng.choice((1, 2))])
+            else:  # x**2 - m, an irrational zero near isqrt(m)
+                m = rng.choice((2, 3, 5, 7, 11))
+                near, truth = F(math.isqrt(m)), [-m, 0, 1]
+            claim = list(truth)
+            claim[rng.randrange(len(claim))] += F(rng.choice((-1, 1)), rng.choice((1, 3, 5, 100)))
+            lo = near - F(rng.randint(0, 6), rng.choice((1, 2, 3)))
+            hi = near + F(rng.randint(1, 6), rng.choice((1, 2, 3)))
+            sign = polynomial_sign(truth).eval_sign
+            try:
+                o = ivt_oracle(SignFunction(sign, "nudged", tuple(claim)), lo, hi)
+            except InvalidBracket:
+                continue
+            accepted += 1
+            if o.root is not None:
+                rooted += 1
+                assert sign(o.root) == 0, (truth, claim, lo, hi, o.root)
+        assert accepted > 300 and rooted > 100
 
     def test_irrational_zeros_stay_unrooted(self):
         for coeffs, a, b in (([-2, 0, 1], 1, 2), ([-2, 0, 9], 0, 1), ([-1, -1, 1], 1, 2), ([-7, 0, 0, 64], 0, 1)):
@@ -521,15 +548,16 @@ class TestOneExactTestPerLeaf:
         return [(iv.lo, iv.hi) for iv in itertools.islice(oracle.refiner(), count)]
 
     def test_ivt_refiner_is_plain_bisection(self):
-        # The zero 1/64 is too deep for the construction-time probe, so the
-        # bisection lands on it at its sixth midpoint.
-        for coeffs, a, b in (([-2, 0, 0, 1], 1, 2), ([2, 0, 0, -1], 1, 2), ([F(-1, 64), 1], 0, 1)):
-            sign = polynomial_sign(coeffs)
+        # The zero 1/64 of an opaque sign is too deep for the construction-time
+        # probe, so the bisection lands on it at its sixth midpoint.
+        grid_point = SignFunction(polynomial_sign([F(-1, 64), 1]).eval_sign, "x - 1/64")
+        cases = ((polynomial_sign([-2, 0, 0, 1]), 1, 2), (polynomial_sign([2, 0, 0, -1]), 1, 2), (grid_point, 0, 1))
+        for sign, a, b in cases:
             o = ivt_oracle(sign, a, b)
             assert o.root is None
             start = sign.eval_sign(F(a))
             want = self.bisection(F(a), F(b), lambda m: None if not sign.eval_sign(m) else sign.eval_sign(m) == start)
-            assert self.first_intervals(o) == list(itertools.islice(want, 200)), coeffs
+            assert self.first_intervals(o) == list(itertools.islice(want, 200)), sign.description
 
     def test_lub_refiner_is_plain_bisection(self):
         test = UpperBoundTest(lambda u: u**3 >= 3, F(-2), F(5))

@@ -169,9 +169,9 @@ class TestZeroSeek:
 
     def test_a_grid_point_zero_ends_as_bisection_ends(self):
         def make():
-            return ivt_oracle(polynomial_sign([F(-1, 1024), 1]), 0, 1)
+            return ivt_oracle(SignFunction(polynomial_sign([F(-1, 1024), 1]).eval_sign), 0, 1)
 
-        # Too deep for the construction-time probe; bisection meets it at depth 10.
+        # Too deep for the probe of an opaque sign; bisection meets it at depth 10.
         assert make().root is None
         o = make()
         assert o.refine(F(1, 2**2000), self.AMPLE) == RInterval(F(1, 1024), F(1, 1024)) == nth(make().refiner(), 10)
@@ -249,6 +249,27 @@ class TestZeroBuildCost:
             o = ivt_oracle(sign, k, k + 1)
             assert o.root is None
             assert len(calls) <= 10, (coeffs, k, len(calls))
+
+    @staticmethod
+    def rational_zeros(count):
+        # (x - zero) times a quadratic with no real zero, brackets up to 60
+        # wide: many Stern-Brocot paths from floor(lo) are longer than 32.
+        rng = random.Random(21)
+        for _ in range(count):
+            zero = F(rng.randint(-500, 500), rng.randint(1, 60))
+            a, b, c = rng.randint(2, 9), rng.randint(-2, 2), rng.choice((1, 2, 3))
+            scale = rng.choice((1, -2, F(3, 7)))
+            coeffs = [scale * k for k in (-zero * a, a - zero * b, b - zero * c, c)]
+            lo = zero - F(rng.randint(1, 60), rng.choice((1, 2, 3, 7)))
+            hi = zero + F(rng.randint(1, 60), rng.choice((1, 2, 3, 7)))
+            yield coeffs, zero, lo, hi
+
+    def test_rational_zero_builds_with_few_sign_calls(self):
+        for coeffs, zero, lo, hi in self.rational_zeros(300):
+            sign, calls = counted(polynomial_sign(coeffs).eval_sign, coeffs)
+            o = ivt_oracle(sign, lo, hi)
+            assert o.root == zero, (coeffs, lo, hi)
+            assert len(calls) <= 24, (coeffs, lo, hi, len(calls))
 
     def test_the_stream_still_starts_at_the_bracket(self):
         for coeffs, k in itertools.islice(self.irrational_zeros(200), 20):
