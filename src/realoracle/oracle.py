@@ -27,6 +27,12 @@ charged as many steps as the furthest it took a leaf (in elements, or in
 bits for a seeking stream), and never more than the budget left, so a
 budget takes a leaf no further than one-element pulls would.
 
+``decide`` and ``locate`` on a node gallop: each pull aims a growing
+number of bits past the current precision, 8 and then twice as many each
+time, so a question that needs d bits takes about log2(d) pulls rather
+than d. On a leaf they step one element at a time, and so does
+``compare``, whose race is a leaf; ``refiner()`` steps round-robin.
+
 Oracles are safe to share between threads: stream pulls are serialized by a
 lock, and the cached narrowest interval only ever shrinks, so concurrent
 queries return consistent definitive answers.
@@ -35,6 +41,7 @@ queries return consistent definitive answers.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -83,11 +90,15 @@ def _stern_brocot(place: LocateHint, floor: int) -> Iterator[Tuple[int, int, Opt
 
 @dataclass(frozen=True)
 class Budget:
-    """Cap on refinement rounds for one query."""
+    """Cap on refinement rounds for one query: a nonnegative integer."""
 
     steps: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.steps)
+        except TypeError:
+            raise TypeError(f"budget steps must be an integer, got {type(self.steps).__name__}") from None
         if self.steps < 0:
             raise ValueError("budget steps must be nonnegative")
 
@@ -115,6 +126,9 @@ class Oracle:
     every operand once; each later pull advances one operand, round-robin.
     A pull with a target instead pulls, with its own target from ``split``,
     every operand that misses it, or every operand once if none does.
+    ``refine`` and ``to_decimal`` pull with their own target, ``decide``
+    and ``locate`` with a galloping one (see ``_settle``), and
+    ``refiner()`` round-robin.
     """
 
     operands: Tuple["Oracle", ...] = ()
@@ -255,11 +269,16 @@ class Oracle:
     ) -> Any:
         """Pull until ``verdict(enclosure, query)`` gives an answer, spending
         at most ``steps``; None if none came. With ``bits`` every pull aims
-        at width ``2**-bits``. The only loop that spends budget. Raises the
-        stream's error once it has raised one."""
+        at width ``2**-bits``. Without it a leaf pulls one element per step,
+        while a node gallops: each pull after its first aims ``gain`` bits
+        past the enclosure's precision, and ``gain`` starts at 8 and doubles,
+        so a question that needs d bits takes about log2(d) pulls. The only
+        loop that spends budget. Raises the stream's error once it has
+        raised one."""
         if self._error is not None:
             raise self._error
         known = self._best
+        gain = 8
         while True:
             if known is not None:
                 answer = verdict(known, query)
@@ -267,8 +286,12 @@ class Oracle:
                     return answer
             if steps <= 0:
                 return None
-            reach = None if bits is None else _Reach(steps)
-            known = self._pull(bits, reach)
+            goal = bits
+            if goal is None and self.operands and known is not None:
+                goal = precision(known) + gain
+                gain *= 2
+            reach = None if goal is None else _Reach(steps)
+            known = self._pull(goal, reach)
             steps -= 1 if reach is None else reach.used
             if known is None:
                 return None

@@ -34,6 +34,14 @@ class TestBudget:
         with pytest.raises(ValueError):
             Budget(-1)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, F(5, 2), "10"])
+    def test_steps_that_are_not_integers_rejected(self, steps):
+        with pytest.raises(TypeError, match="budget steps must be an integer"):
+            Budget(steps)
+
+    def test_large_integer_steps_accepted(self):
+        assert Budget(10**30).steps == 10**30
+
     def test_zero_budget_refine_is_absent(self):
         assert rational_oracle(F(1, 3)).refine(F(1, 10**6), Budget(0)) is None
 

@@ -1,0 +1,106 @@
+"""Seeded differential: budgeted decide and locate on derived nodes against
+a deeply refined twin.
+
+Each tree is built twice from the same seed. The twin is refined to width
+2**-400, and every definitive answer of the other tree, at every budget,
+must be one that a number in the twin's enclosure can have, so it agrees
+with that enclosure wherever the enclosure decides.
+"""
+
+import random
+from fractions import Fraction as F
+
+from realoracle.arithmetic import o_abs, o_add, o_mul, o_neg, o_recip, o_sub
+from realoracle.constructors import nth_root_oracle, rational_oracle
+from realoracle.intervals import RInterval
+from realoracle.oracle import Budget, Placement, QueryResult
+
+BUDGETS = (0, 1, 3, 10, 50, 200)
+DEEP = F(1, 2**400)
+
+
+def random_leaf(rng: random.Random):
+    q = F(rng.randint(1, 40), rng.randint(1, 6))
+    if rng.random() < 0.3:
+        return rational_oracle(q * rng.choice((1, -1)))
+    return nth_root_oracle(rng.choice((2, 2, 3)), q)
+
+
+def random_operand(rng: random.Random, depth: int):
+    return random_leaf(rng) if depth == 0 or rng.random() < 0.2 else random_tree(rng, depth)
+
+
+def random_tree(rng: random.Random, depth: int):
+    """A tree of depth at most ``depth`` over root and rational leaves, with
+    an operator on top (which folds away when every leaf is rational)."""
+    kind = rng.choice(("add", "sub", "mul", "mul", "neg", "abs", "recip"))
+    x = random_operand(rng, depth - 1)
+    if kind == "neg":
+        return o_neg(x)
+    if kind == "abs":
+        return o_abs(x)
+    if kind == "recip":
+        # A witness from the operand's own refinement: the enclosure
+        # widened to twice its ends, when it keeps clear of 0.
+        got = x.refine(F(1, 2**20), Budget(10**3))
+        if got.lo > 0:
+            return o_recip(x, RInterval(got.lo / 2, got.hi * 2))
+        if got.hi < 0:
+            return o_recip(x, RInterval(got.lo * 2, got.hi / 2))
+        return o_neg(x)
+    y = x if rng.random() < 0.2 else random_operand(rng, depth - 1)
+    return {"add": o_add, "sub": o_sub, "mul": o_mul}[kind](x, y)
+
+
+def questions(rng: random.Random, near: RInterval):
+    """Points and intervals near the number, at scales down to 2**-80, and
+    the midpoint of its deep enclosure itself."""
+    center = (near.lo + near.hi) / 2
+    points = [center]
+    for _ in range(3):
+        points.append(center + F(rng.randint(-64, 64), 2 ** rng.randint(0, 80)))
+    intervals = [RInterval(p, p) for p in points[:2]]
+    for _ in range(3):
+        lo, hi = sorted(rng.sample(points, 2))
+        intervals.append(RInterval(lo, hi))
+    return points, intervals
+
+
+def placement_fits(got: Placement, deep: RInterval, point: F) -> bool:
+    """Whether a definitive placement of ``point`` can hold for a number in
+    ``deep``; it must, whenever ``deep`` alone settles the question."""
+    if got is Placement.GREATER:
+        return point < deep.hi
+    if got is Placement.LESS:
+        return deep.lo < point
+    return deep.lo <= point <= deep.hi
+
+
+def answer_fits(got: QueryResult, deep: RInterval, interval: RInterval) -> bool:
+    """Whether a definitive answer can hold for a number in ``deep``."""
+    if got is QueryResult.YES:
+        return deep.intersects(interval)
+    return not interval.encloses(deep)
+
+
+def test_budgeted_answers_agree_with_a_deep_twin():
+    checked = 0
+    for seed in range(600):
+        depth = 1 + seed % 3
+        deep = random_tree(random.Random(seed), depth).refine(DEEP, Budget(10**4))
+        assert deep is not None
+        tree = random_tree(random.Random(seed), depth)
+        points, intervals = questions(random.Random(10**6 + seed), deep)
+        for steps in BUDGETS:
+            for point in points:
+                got = tree.locate(point, Budget(steps))
+                if got is not Placement.EXHAUSTED:
+                    assert placement_fits(got, deep, point), (seed, tree.label, point, steps)
+                    checked += 1
+            for interval in intervals:
+                got = tree.decide(interval, Budget(steps))
+                if got is not QueryResult.EXHAUSTED:
+                    assert answer_fits(got, deep, interval), (seed, tree.label, interval, steps)
+                    checked += 1
+    # Most questions sit far enough from the number to settle.
+    assert checked > 10000

@@ -4,11 +4,13 @@ import re
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import realoracle
-from realoracle.arithmetic import CompareResult, compare, o_add, o_mul
-from realoracle.constructors import rational_oracle
-from realoracle.intervals import interval_make
-from realoracle.oracle import Budget, FonsiSource, oracle_from_fonsi
+from realoracle.arithmetic import CompareResult, compare, o_add, o_mul, o_neg, o_sub
+from realoracle.constructors import nth_root_oracle, rational_oracle
+from realoracle.intervals import RInterval, interval_make
+from realoracle.oracle import Budget, FonsiSource, Placement, QueryResult, oracle_from_fonsi, precision
 
 PACKAGE = Path(realoracle.__file__).parent
 
@@ -92,3 +94,61 @@ def test_only_oracle_module_passes_a_decide_rule():
         if "partial_rule=" in line
     ]
     assert offenders == []
+
+
+def counted_image(node):
+    """Wrap ``node.image`` so that ``calls[0]`` counts the node's steps."""
+    calls = [0]
+    image = node.image
+
+    def counting(*known):
+        calls[0] += 1
+        return image(*known)
+
+    node.image = counting
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, point",
+    [(lambda x: o_sub(x, x), F(0)), (lambda x: o_mul(x, x), F(2))],
+    ids=["x - x", "y * y"],
+)
+def test_a_boundary_question_costs_log_budget_node_steps(build, point):
+    # The question never settles, so decide spends the whole budget. The
+    # node gallops its precision target, and the leaf still ends exactly as
+    # deep as one-element pulls would take it: one bit per step.
+    budget = 10**5
+    leaf = nth_root_oracle(2, 2)
+    node = build(leaf)
+    calls = counted_image(node)
+    assert node.decide(RInterval(point, point), Budget(budget)) is QueryResult.EXHAUSTED
+    assert calls[0] <= 20
+    assert precision(leaf.enclosure) == budget
+
+
+# Each shape over leaves a = 1 and b = 2, with its exact value. Counting
+# leaves never reach a point, so questions at the value never settle.
+SHAPES = {
+    "a + b": (lambda a, b: o_add(a, b), F(3)),
+    "a - a": (lambda a, b: o_sub(a, a), F(0)),
+    "(a + b) * a": (lambda a, b: o_mul(o_add(a, b), a), F(3)),
+    "-(a * a) + b": (lambda a, b: o_add(o_neg(o_mul(a, a)), b), F(1)),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 17, 100])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_budget_takes_no_leaf_past_one_element_pulls(shape, budget):
+    # A node's first pull pulls every operand once, so a leaf shared by two
+    # operands draws two elements for that one step; no other step draws
+    # more elements from a leaf than it is charged.
+    build, value = SHAPES[shape]
+    for ask in ("decide", "locate"):
+        a, b = Counting(F(1)), Counting(F(2))
+        node = build(a.oracle, b.oracle)
+        if ask == "decide":
+            assert node.decide(RInterval(value, value), Budget(budget)) is QueryResult.EXHAUSTED
+        else:
+            assert node.locate(value, Budget(budget)) is Placement.EXHAUSTED
+        assert max(pulls(a, b)) <= budget + 1
