@@ -10,10 +10,8 @@ why arithmetic on rationals is always definitive.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
 
 from .constructors import rational_oracle
 from .errors import ZeroWitnessInvalid
@@ -22,7 +20,6 @@ from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, mag_bits, 
 
 _WITNESS_CHECK_BUDGET = Budget(64)
 _ZERO = Fraction(0)
-_UNSETTLED = RInterval(Fraction(-1), Fraction(1))
 
 
 class CompareResult(Enum):
@@ -126,8 +123,9 @@ def compare(x: Oracle, y: Oracle, budget: Budget) -> CompareResult:
     EQUAL_KNOWN is only reported when both roots are known and coincide;
     otherwise equality is never decided and the search ends in UNDECIDED.
 
-    The answer is where x - y lies relative to 0. Each budget step refines
-    one side: x and y in turn, or only the side whose root is unknown.
+    The answer is where x - y lies relative to 0: the cached enclosures
+    first, then ``o_sub(x, y).locate(0, budget)``, which spends the budget
+    as ``locate`` does on any node and gallops its precision target.
     """
     kx, ky = x.enclosure, y.enclosure
     if kx is not None and ky is not None:
@@ -135,19 +133,4 @@ def compare(x: Oracle, y: Oracle, budget: Budget) -> CompareResult:
             return CompareResult.LESS
         if not _q_le(kx.lo, ky.hi):
             return CompareResult.GREATER
-    rx, ry = x.root, y.root
-    exact = None if rx is None or ry is None else rx - ry
-    race = Oracle(lambda: _race(x, y), root=exact, label="compare")
-    return _ORDER[race.locate(_ZERO, budget)]
-
-
-def _race(x: Oracle, y: Oracle) -> Iterator[RInterval]:
-    xs, ys = x.refiner(), y.refiner()
-    for turn in itertools.count():
-        side = xs if x.root is None and (turn % 2 == 0 or y.root is not None) else ys
-        if next(side, None) is None:
-            return
-        kx, ky = x.enclosure, y.enclosure
-        # Until both sides have an enclosure, a stand-in around 0 keeps
-        # each step at one pull without settling anything.
-        yield _UNSETTLED if kx is None or ky is None else kx.sub(ky)
+    return _ORDER[o_sub(x, y).locate(_ZERO, budget)]

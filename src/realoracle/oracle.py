@@ -30,8 +30,8 @@ budget takes a leaf no further than one-element pulls would.
 ``decide`` and ``locate`` on a node gallop: each pull aims a growing
 number of bits past the current precision, 8 and then twice as many each
 time, so a question that needs d bits takes about log2(d) pulls rather
-than d. On a leaf they step one element at a time, and so does
-``compare``, whose race is a leaf; ``refiner()`` steps round-robin.
+than d. So does ``compare``, which locates 0 on the node ``x - y``. On a
+leaf they step one element at a time; ``refiner()`` steps round-robin.
 
 Oracles are safe to share between threads: stream pulls are serialized by a
 lock, and the cached narrowest interval only ever shrinks, so concurrent
@@ -123,7 +123,8 @@ class Oracle:
     A leaf pulls ``stream_factory()``. A node (see :func:`node_oracle`)
     holds its ``operands`` and an ``image`` function that maps one enclosure
     per operand to an enclosure of the node's number. Its first pull pulls
-    every operand once; each later pull advances one operand, round-robin.
+    every operand once, a shared one too; each later pull advances one
+    operand, round-robin.
     A pull with a target instead pulls, with its own target from ``split``,
     every operand that misses it, or every operand once if none does.
     ``refine`` and ``to_decimal`` pull with their own target, ``decide``
@@ -244,6 +245,9 @@ class Oracle:
     def _node_step(self, bits: Optional[int], reach: Optional["_Reach"]) -> Optional[RInterval]:
         operands, known = self.operands, self._known
         if known is None:
+            # One reach for the whole first pull, so a leaf shared by two
+            # operands draws one element for the one step.
+            reach = reach or _Reach(1)
             known = [op._pull(None, reach) for op in operands]
             if any(got is None for got in known):
                 return None

@@ -1,5 +1,5 @@
-"""Seeded differential: budgeted decide and locate on derived nodes against
-a deeply refined twin.
+"""Seeded differential: budgeted decide, locate and compare on derived nodes
+against a deeply refined twin.
 
 Each tree is built twice from the same seed. The twin is refined to width
 2**-400, and every definitive answer of the other tree, at every budget,
@@ -10,7 +10,7 @@ with that enclosure wherever the enclosure decides.
 import random
 from fractions import Fraction as F
 
-from realoracle.arithmetic import o_abs, o_add, o_mul, o_neg, o_recip, o_sub
+from realoracle.arithmetic import CompareResult, compare, o_abs, o_add, o_mul, o_neg, o_recip, o_sub
 from realoracle.constructors import nth_root_oracle, rational_oracle
 from realoracle.intervals import RInterval
 from realoracle.oracle import Budget, Placement, QueryResult
@@ -104,3 +104,50 @@ def test_budgeted_answers_agree_with_a_deep_twin():
                     checked += 1
     # Most questions sit far enough from the number to settle.
     assert checked > 10000
+
+
+def partners(seed: int, x, deep: RInterval):
+    """Trees to compare with ``x``, each with an enclosure of its number at
+    most 2**-400 wide and whether it equals ``x``: ``x`` itself, a second
+    build of it, ``x + 2**-k`` and an unrelated tree."""
+    rng = random.Random(2 * 10**6 + seed)
+    shift = F(1, 2 ** rng.randint(1, 60))
+    depth = 1 + seed % 3
+    other = random_tree(random.Random(3 * 10**6 + seed), depth)
+    other_deep = random_tree(random.Random(3 * 10**6 + seed), depth).refine(DEEP, Budget(10**4))
+    assert other_deep is not None
+    return [
+        (x, deep, True),
+        (random_tree(random.Random(seed), depth), deep, True),
+        (o_add(x, rational_oracle(shift)), RInterval(deep.lo + shift, deep.hi + shift), False),
+        (other, other_deep, False),
+    ]
+
+
+def order_fits(got: CompareResult, x, y, deep_x: RInterval, deep_y: RInterval, equal: bool) -> bool:
+    """Whether ``compare(x, y)`` can give ``got`` for numbers in ``deep_x``
+    and ``deep_y``, and never LESS or GREATER for two equal numbers."""
+    if got is CompareResult.LESS:
+        return not equal and deep_x.lo < deep_y.hi
+    if got is CompareResult.GREATER:
+        return not equal and deep_y.lo < deep_x.hi
+    if got is CompareResult.EQUAL_KNOWN:
+        return x.root is not None and x.root == y.root
+    return True
+
+
+def test_budgeted_compares_agree_with_deep_twins():
+    settled = 0
+    for seed in range(300):
+        depth = 1 + seed % 3
+        deep = random_tree(random.Random(seed), depth).refine(DEEP, Budget(10**4))
+        assert deep is not None
+        x = random_tree(random.Random(seed), depth)
+        for y, deep_y, equal in partners(seed, x, deep):
+            for steps in BUDGETS:
+                got = compare(x, y, Budget(steps))
+                assert order_fits(got, x, y, deep, deep_y, equal), (seed, x.label, y.label, steps, got)
+                settled += got is not CompareResult.UNDECIDED
+    # Unrelated trees and shifted twins mostly settle; equal pairs never do
+    # unless both roots are known.
+    assert settled > 3000

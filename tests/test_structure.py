@@ -69,12 +69,12 @@ def test_node_pulls_every_operand_first_then_round_robin():
     ]
 
 
-def test_compare_spends_one_pull_per_step_starting_with_x():
+def test_compare_pulls_both_sides_on_its_first_step():
+    # compare locates 0 on the node x - y, whose first step pulls every
+    # operand: [0, 2] - [4, 6] already lies below 0.
     x, y = Counting(F(1)), Counting(F(5))
-    assert compare(x.oracle, y.oracle, Budget(1)) is CompareResult.UNDECIDED
-    assert pulls(x, y) == (1, 0)
-    assert compare(x.oracle, y.oracle, Budget(2)) is CompareResult.LESS
-    assert pulls(x, y) == (2, 1)
+    assert compare(x.oracle, y.oracle, Budget(1)) is CompareResult.LESS
+    assert pulls(x, y) == (1, 1)
 
 
 def test_compare_refines_only_the_side_without_a_root():
@@ -96,35 +96,42 @@ def test_only_oracle_module_passes_a_decide_rule():
     assert offenders == []
 
 
-def counted_image(node):
-    """Wrap ``node.image`` so that ``calls[0]`` counts the node's steps."""
-    calls = [0]
-    image = node.image
+def boundary_sub(x, budget):
+    return o_sub(x, x).decide(RInterval(F(0), F(0)), budget) is QueryResult.EXHAUSTED
 
-    def counting(*known):
-        calls[0] += 1
-        return image(*known)
 
-    node.image = counting
-    return calls
+def boundary_mul(y, budget):
+    return o_mul(y, y).decide(RInterval(F(2), F(2)), budget) is QueryResult.EXHAUSTED
+
+
+def boundary_compare(x, budget):
+    return compare(x, x, budget) is CompareResult.UNDECIDED
 
 
 @pytest.mark.parametrize(
-    "build, point",
-    [(lambda x: o_sub(x, x), F(0)), (lambda x: o_mul(x, x), F(2))],
-    ids=["x - x", "y * y"],
+    "ask, image",
+    [(boundary_sub, "sub"), (boundary_mul, "mul"), (boundary_compare, "sub")],
+    ids=["x - x", "y * y", "compare(x, x)"],
 )
-def test_a_boundary_question_costs_log_budget_node_steps(build, point):
-    # The question never settles, so decide spends the whole budget. The
-    # node gallops its precision target, and the leaf still ends exactly as
-    # deep as one-element pulls would take it: one bit per step.
+def test_a_boundary_question_costs_log_budget_node_steps(monkeypatch, ask, image):
+    # The question never settles, so it spends the whole budget. The node
+    # gallops its precision target, and the leaf still ends exactly as deep
+    # as B one-element pulls take a lone leaf: one bit per step after its
+    # first element. Each node step calls the node's image once; compare
+    # builds its node itself, so the count is taken at the RInterval method.
+    calls = [0]
+    method = getattr(RInterval, image)
+
+    def counting(*known):
+        calls[0] += 1
+        return method(*known)
+
+    monkeypatch.setattr(RInterval, image, counting)
     budget = 10**5
     leaf = nth_root_oracle(2, 2)
-    node = build(leaf)
-    calls = counted_image(node)
-    assert node.decide(RInterval(point, point), Budget(budget)) is QueryResult.EXHAUSTED
+    assert ask(leaf, Budget(budget))
     assert calls[0] <= 20
-    assert precision(leaf.enclosure) == budget
+    assert precision(leaf.enclosure) == budget - 1
 
 
 # Each shape over leaves a = 1 and b = 2, with its exact value. Counting
@@ -140,9 +147,8 @@ SHAPES = {
 @pytest.mark.parametrize("budget", [1, 2, 5, 17, 100])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_a_budget_takes_no_leaf_past_one_element_pulls(shape, budget):
-    # A node's first pull pulls every operand once, so a leaf shared by two
-    # operands draws two elements for that one step; no other step draws
-    # more elements from a leaf than it is charged.
+    # No step draws more elements from a leaf than it is charged, not even
+    # a node's first, which pulls every operand once but a shared leaf once.
     build, value = SHAPES[shape]
     for ask in ("decide", "locate"):
         a, b = Counting(F(1)), Counting(F(2))
@@ -151,4 +157,4 @@ def test_a_budget_takes_no_leaf_past_one_element_pulls(shape, budget):
             assert node.decide(RInterval(value, value), Budget(budget)) is QueryResult.EXHAUSTED
         else:
             assert node.locate(value, Budget(budget)) is Placement.EXHAUSTED
-        assert max(pulls(a, b)) <= budget + 1
+        assert max(pulls(a, b)) <= budget
