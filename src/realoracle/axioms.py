@@ -161,15 +161,15 @@ _Trials = Iterator[Union[None, bool, Counterexample]]
 def _sampled(name: str, trials: _Trials, samples: int) -> AxiomReport:
     """Run up to ``samples`` trials of one property and judge them: Falsified
     at the first counterexample, Inconclusive when trials ran and none was
-    decided, else Passed. A property with fewer trials than asked for (Closed
-    has none without a root) reports the trials it had."""
+    decided, else Passed. Each report gives the trials that ran: up to the
+    counterexample, or all a property had (Closed has none without a root)."""
     ran = decided = 0
     for outcome in itertools.islice(trials, samples):
         ran += 1
         if outcome is True:
             decided += 1
         elif outcome is not None:
-            return AxiomReport(name, Verdict.FALSIFIED, samples, outcome)
+            return AxiomReport(name, Verdict.FALSIFIED, ran, outcome)
     verdict = Verdict.INCONCLUSIVE if ran and not decided else Verdict.PASSED
     return AxiomReport(name, verdict, ran)
 

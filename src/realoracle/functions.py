@@ -34,10 +34,11 @@ class FunctionOracle:
     it must be sound (image contained) and inclusion-monotone, with wall
     widths shrinking as base widths do. ``modulus(width, within)`` returns
     a base width guaranteeing extension output no wider than ``width`` for
-    bases inside ``within``. ``point`` evaluates the function exactly at a
-    rational when that is possible, enabling definitive No answers and
-    rooted results. ``domain`` bounds where the extension is defined;
-    None means everywhere.
+    bases inside ``within``; a refinement that finds a modulus breaking
+    this raises :class:`OracleError`. ``point`` evaluates the function
+    exactly at a rational when that is possible, enabling definitive No
+    answers and rooted results. ``domain`` bounds where the extension is
+    defined; None means everywhere.
     """
 
     extension: Callable[[RInterval], RInterval]

@@ -19,19 +19,21 @@ with an exact test of where the number lies relative to a rational point
 such answers never consume budget. One budget step is one pull.
 
 A pull may carry a precision target: make the width at most ``2**-bits``.
-``refine`` pulls that way. A node splits the target into one target per
-operand, and a leaf takes several stream elements in that one pull, or
-seeks straight to the precision when its stream can. Such a pull visits
+Budgeted queries pull that way. A node splits the target into one target
+per operand, and a leaf takes several stream elements in that one pull,
+or seeks straight to the precision when its stream can. A pull visits
 each oracle of the DAG at most once, however many paths lead to it. It is
 charged as many steps as the furthest it took a leaf (in elements, or in
 bits for a seeking stream), and never more than the budget left, so a
 budget takes a leaf no further than one-element pulls would.
 
-``decide`` and ``locate`` on a node gallop: each pull aims a growing
-number of bits past the current precision, 8 and then twice as many each
-time, so a question that needs d bits takes about log2(d) pulls rather
-than d. So does ``compare``, which locates 0 on the node ``x - y``. On a
-leaf they step one element at a time; ``refiner()`` steps round-robin.
+Every budgeted query pulls by one rule, on leaves and nodes alike: while
+the enclosure misses the query's own target (``refine`` and
+``to_decimal`` have one) a pull aims at it, and otherwise it gallops,
+aiming 8, then 16, 32, ... bits past the current precision but never
+more than the steps left. So a question that needs d bits takes about
+log2(d) pulls rather than d. ``compare`` locates 0 on the node
+``x - y``. Only ``refiner()`` steps one element at a time.
 
 Oracles are safe to share between threads: stream pulls are serialized by a
 lock, and the cached narrowest interval only ever shrinks, so concurrent
@@ -48,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InvalidFonsi
+from .errors import InvalidFonsi, OracleError
 from .intervals import RInterval, _interval_raw, _q_le, _raw_fraction, as_rational, format_rational
 
 LocateHint = Callable[[Fraction], "Optional[Placement]"]
@@ -123,13 +125,10 @@ class Oracle:
     A leaf pulls ``stream_factory()``. A node (see :func:`node_oracle`)
     holds its ``operands`` and an ``image`` function that maps one enclosure
     per operand to an enclosure of the node's number. Its first pull pulls
-    every operand once, a shared one too; each later pull advances one
-    operand, round-robin.
-    A pull with a target instead pulls, with its own target from ``split``,
-    every operand that misses it, or every operand once if none does.
-    ``refine`` and ``to_decimal`` pull with their own target, ``decide``
-    and ``locate`` with a galloping one (see ``_settle``), and
-    ``refiner()`` round-robin.
+    every operand once, and a shared one once in all. A later pull with a
+    target pulls, with its own target from ``split``, every operand that
+    misses it; every budgeted query pulls so (see ``_settle``). Without a
+    target, as ``refiner()`` pulls, it advances one operand, round-robin.
     """
 
     operands: Tuple["Oracle", ...] = ()
@@ -179,31 +178,30 @@ class Oracle:
     def _discover_root(self, value: Fraction) -> None:
         with self._lock:
             if self._root is None:
-                # _best first: the rooted fast paths read it once _root is set.
+                # _best first: _pull and the rooted fast paths read it once _root is set.
                 self._best = _interval_raw(value, value)
                 self._root = value
 
-    def _pull(self, bits: Optional[int] = None, reach: Optional["_Reach"] = None) -> Optional[RInterval]:
+    def _pull(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
         """Advance the refinement by one step and return the new enclosure.
 
         Without ``bits`` the step is one stream element, or one operand pull
-        for a node. With ``bits`` it aims at width ``2**-bits``, spending at
-        most ``reach``; an oracle that ``reach`` has already visited returns
-        its enclosure without a step. Once a root is known the stream is
-        bypassed and the root singleton is returned. A stream that ends
-        simply stops making progress; pulls then return the narrowest
-        interval seen so far. An error raised by the stream is kept and
-        raised again by every later pull.
+        for a node; with ``bits`` it aims at width ``2**-bits``. It spends
+        at most ``reach``, and an oracle ``reach`` has visited returns its
+        enclosure without a step. A known root bypasses the stream and is
+        returned as its singleton. A stream that ends simply stops making
+        progress; pulls then return the narrowest interval seen so far. An
+        error of the stream, or of a node whose ``split`` breaks its
+        contract, is kept and raised again by every later pull.
         """
         with self._lock:
             if self._root is not None:
                 return self._best
             if self._error is not None:
                 raise self._error
-            if reach is not None:
-                if self in reach.seen:
-                    return self._best
-                reach.seen.add(self)
+            if self in reach.seen:
+                return self._best
+            reach.seen.add(self)
             try:
                 nxt = self._node_step(bits, reach) if self.operands else self._leaf_step(bits, reach)
             except StopIteration:
@@ -218,7 +216,7 @@ class Oracle:
                 self._root = nxt.lo
             return nxt
 
-    def _leaf_step(self, bits: Optional[int], reach: Optional["_Reach"]) -> Optional[RInterval]:
+    def _leaf_step(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
         it = self._iter
         if it is None:
             if self._stream_factory is None:
@@ -242,12 +240,9 @@ class Oracle:
         reach.used = max(reach.used, taken)
         return got
 
-    def _node_step(self, bits: Optional[int], reach: Optional["_Reach"]) -> Optional[RInterval]:
+    def _node_step(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
         operands, known = self.operands, self._known
         if known is None:
-            # One reach for the whole first pull, so a leaf shared by two
-            # operands draws one element for the one step.
-            reach = reach or _Reach(1)
             known = [op._pull(None, reach) for op in operands]
             if any(got is None for got in known):
                 return None
@@ -259,11 +254,10 @@ class Oracle:
         else:
             wants = self.split(bits, *known)
             missing = [i for i, want in enumerate(wants) if precision(known[i]) < want]
+            if not missing and precision(self._best) < bits:
+                raise OracleError(f"split of {self.label} is met, yet {self._best} is wider than 2**-{bits}")
             for i in missing:
                 known[i] = operands[i]._pull(wants[i], reach)
-            if not missing:
-                for i, op in enumerate(operands):
-                    known[i] = op._pull(None, reach)
         # An operand that has given an enclosure never pulls None again, and
         # image runs once per step: clamp_to cuts keep state.
         return self.image(*known)
@@ -272,13 +266,12 @@ class Oracle:
         self, verdict: Callable[[RInterval, Any], Any], query: Any, steps: int, bits: Optional[int] = None
     ) -> Any:
         """Pull until ``verdict(enclosure, query)`` gives an answer, spending
-        at most ``steps``; None if none came. With ``bits`` every pull aims
-        at width ``2**-bits``. Without it a leaf pulls one element per step,
-        while a node gallops: each pull after its first aims ``gain`` bits
-        past the enclosure's precision, and ``gain`` starts at 8 and doubles,
-        so a question that needs d bits takes about log2(d) pulls. The only
-        loop that spends budget. Raises the stream's error once it has
-        raised one."""
+        at most ``steps``; None if none came. The only loop that spends
+        budget, by one rule on leaves and nodes: aim at ``bits`` while the
+        enclosure misses it, else gallop ``gain`` bits past its precision,
+        ``gain`` starting at 8, doubling, and capped by the steps left. So a
+        question that needs d bits takes about log2(d) pulls. Raises the
+        stream's error once it has raised one."""
         if self._error is not None:
             raise self._error
         known = self._best
@@ -291,18 +284,21 @@ class Oracle:
             if steps <= 0:
                 return None
             goal = bits
-            if goal is None and self.operands and known is not None:
-                goal = precision(known) + gain
+            if known is not None and (bits is None or precision(known) >= bits):
+                goal = precision(known) + min(gain, steps)
                 gain *= 2
-            reach = None if goal is None else _Reach(steps)
+            reach = _Reach(steps)
             known = self._pull(goal, reach)
-            steps -= 1 if reach is None else reach.used
+            steps -= reach.used
             if known is None:
                 return None
 
     def refiner(self) -> Iterator[RInterval]:
         """Infinite stream of successively narrower Yes intervals."""
-        return iter(self._pull, None)
+        # One reach, emptied before each step: a node's first step then draws a
+        # shared leaf once, and no pull without a target reads the budget.
+        reach = _Reach(1)
+        return iter(lambda: reach.seen.clear() or self._pull(None, reach), None)
 
     # -- queries
 
@@ -411,7 +407,7 @@ def node_oracle(
 
 
 class _Reach:
-    """How far one target pull may take a leaf, what it spent (the furthest
+    """How far one pull may take a leaf, what it spent (the furthest
     it took one, and at least one step), and the oracles it has visited."""
 
     __slots__ = ("steps", "used", "seen")

@@ -157,13 +157,13 @@ Consistency Passed 50
 Existence Passed 1
 Closed Passed 0
 Rooted Passed 50
-IntervalSeparation Falsified 50 [split of a Yes interval has 2 Yes pieces: \
+IntervalSeparation Falsified 4 [split of a Yes interval has 2 Yes pieces: \
 decide(-47/96:89/48)=Yes decide(89/48:89/48)=No decide(89/48:139/48)=Yes (budget=64)]
 TwoPointSeparation Passed 50
-Disjointness Falsified 50 [disjoint intervals both decided Yes: \
+Disjointness Falsified 35 [disjoint intervals both decided Yes: \
 decide(-167/96:-9/32)=Yes decide(0:119/48)=Yes (budget=64)]
 Narrowing Inconclusive 50
-Intersection Falsified 50 [two Yes intervals are disjoint: \
+Intersection Falsified 5 [two Yes intervals are disjoint: \
 decide(53/96:89/48)=Yes decide(-71/48:23/96)=Yes (budget=64)]""",
     ),
     (shared_difference, 23, Budget(8), PASS_ALL.format(closed=0)),

@@ -6,8 +6,9 @@ import pytest
 
 from realoracle.arithmetic import CompareResult, compare, o_mul, o_recip
 from realoracle.constructors import UpperBoundTest, lub_oracle, nth_root_oracle, rational_oracle
-from realoracle.errors import DomainEscape, ZeroInDenominator
+from realoracle.errors import DomainEscape, OracleError, ZeroInDenominator
 from realoracle.functions import (
+    FunctionOracle,
     Rectangle,
     apply,
     poly_extension,
@@ -15,7 +16,7 @@ from realoracle.functions import (
     rect_decide,
 )
 from realoracle.intervals import RInterval, interval_make
-from realoracle.oracle import Budget, QueryResult
+from realoracle.oracle import Budget, FonsiSource, QueryResult, oracle_from_fonsi
 
 AMPLE = Budget(400)
 
@@ -205,3 +206,33 @@ class TestApplyClampMakesNoRoot:
         got = fx.refine(F(1, 10**6), Budget(100))
         assert got is not None and got.lo <= 1 <= got.hi
         assert fx.root is None
+
+
+class TestApplyPullsStayWithinTheBudget:
+    def test_a_stalled_argument_exhausts_without_running_its_target_away(self):
+        # x is a fonsi of three intervals around 3/2 that then ends, so no
+        # pull after the third makes progress. The gallop's target never
+        # runs more than the steps left past the enclosure's precision.
+        square = poly_extension([0, 0, 1])
+        floor = F(1, 2 ** (200 + 64))
+
+        def modulus(width, within):
+            assert width >= floor
+            return square.modulus(width, within)
+
+        fn = FunctionOracle(square.extension, modulus, point=square.point)
+        x = oracle_from_fonsi(FonsiSource(iter([interval_make(1, 2), interval_make(F(5, 4), F(7, 4)),
+                                                interval_make(F(11, 8), F(13, 8))])))
+        node = apply(fn, x)
+        assert node.decide(interval_make(F(9, 4), F(9, 4)), Budget(200)) is QueryResult.EXHAUSTED
+
+    def test_a_modulus_that_ignores_the_width_is_raised(self):
+        # A base width of 1 for any wall width breaks the modulus contract:
+        # the argument meets what split asks, yet the image stays wide.
+        square = poly_extension([0, 0, 1])
+        fn = FunctionOracle(square.extension, lambda width, within: F(1), point=square.point)
+        node = apply(fn, nth_root_oracle(2, 3))
+        with pytest.raises(OracleError, match="split"):
+            node.refine(F(1, 2**40), Budget(1000))
+        with pytest.raises(OracleError, match="split"):
+            node.decide(interval_make(3, 3), Budget(1000))

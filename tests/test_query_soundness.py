@@ -1,5 +1,5 @@
 """Seeded differential: budgeted decide, locate and compare on derived nodes
-against a deeply refined twin.
+and on leaves without an exact answer, against a deeply refined twin.
 
 Each tree is built twice from the same seed. The twin is refined to width
 2**-400, and every definitive answer of the other tree, at every budget,
@@ -7,13 +7,24 @@ must be one that a number in the twin's enclosure can have, so it agrees
 with that enclosure wherever the enclosure decides.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 from realoracle.arithmetic import CompareResult, compare, o_abs, o_add, o_mul, o_neg, o_recip, o_sub
-from realoracle.constructors import nth_root_oracle, rational_oracle
-from realoracle.intervals import RInterval
-from realoracle.oracle import Budget, Placement, QueryResult
+from realoracle.constructors import (
+    CauchySpec,
+    SignFunction,
+    UpperBoundTest,
+    cauchy_oracle,
+    ivt_oracle,
+    lub_oracle,
+    nth_root_oracle,
+    rational_oracle,
+)
+from realoracle.intervals import RInterval, dyadic
+from realoracle.oracle import Budget, FonsiSource, Placement, QueryResult, oracle_from_fonsi, target_bits
 
 BUDGETS = (0, 1, 3, 10, 50, 200)
 DEEP = F(1, 2**400)
@@ -151,3 +162,71 @@ def test_budgeted_compares_agree_with_deep_twins():
     # Unrelated trees and shifted twins mostly settle; equal pairs never do
     # unless both roots are known.
     assert settled > 3000
+
+
+def sign(value) -> int:
+    return (value > 0) - (value < 0)
+
+
+def random_unhinted_leaf(rng: random.Random):
+    """A leaf whose questions near its number go to the budgeted pulls: a
+    Cauchy limit, a fonsi, a lub (at its upper bounds), or a zero of an
+    opaque sign rule (whose refinement seeks). Half of them sit on a
+    rational, where questions at the number never settle."""
+    kind = rng.choice(("cauchy", "fonsi", "lub", "zero"))
+    num, den = rng.randint(2, 40), rng.randint(1, 6)
+    q = F(num, den)
+    r = F(rng.randint(-400, 400), rng.randint(1, 60))
+    rational = rng.random() < 0.5
+    if kind == "cauchy":
+        if rational:
+            # Terms r + (-1/2)**n: any two from index N on are 2**(1 - N) apart.
+            return cauchy_oracle(CauchySpec(lambda n: r + F(-1, 2) ** n, lambda eps: target_bits(eps) + 1))
+        # Terms floor(sqrt(q) * 2**n) / 2**n, all within 2**-n of sqrt(q).
+        return cauchy_oracle(CauchySpec(lambda n: dyadic(math.isqrt(num * 4**n // den), n), target_bits))
+    if kind == "fonsi":
+        # Overlapping, not nested: each interval holds the number with a
+        # random margin on either side of its dyadic truncation.
+        def enumerate_around():
+            for n in itertools.count():
+                center = r if rational else dyadic(math.isqrt(num * 4**n // den), n)
+                yield RInterval(center - dyadic(rng.randint(1, 3), n), center + dyadic(rng.randint(1, 3), n))
+
+        return oracle_from_fonsi(FonsiSource(enumerate_around()))
+    if kind == "lub":
+        if rational:
+            return lub_oracle(UpperBoundTest(lambda u: u >= r, r - rng.randint(1, 9), r + rng.randint(1, 9)))
+        return lub_oracle(UpperBoundTest(lambda u: u >= 0 and u * u >= q, F(0), q + 1))
+    if rational:
+        rule = SignFunction(lambda t: sign((t - r) * (t * t + 1)))
+        return ivt_oracle(rule, r - F(rng.randint(1, 9), 7), r + F(rng.randint(1, 9), 5))
+    return ivt_oracle(SignFunction(lambda t: sign(t * t - q)), 0, q + 1)
+
+
+def test_budgeted_leaf_answers_agree_with_a_deep_twin():
+    checked = 0
+    for seed in range(240):
+        deep = random_unhinted_leaf(random.Random(seed)).refine(DEEP, Budget(10**4))
+        assert deep is not None
+        leaf = random_unhinted_leaf(random.Random(seed))
+        rng = random.Random(10**6 + seed)
+        points, intervals = questions(rng, deep)
+        # Upper bounds: a lub can only refute that they are the least one.
+        above = deep.hi + F(1, 2 ** rng.randint(1, 80))
+        points += [deep.hi, above]
+        intervals += [RInterval(deep.hi, deep.hi), RInterval(deep.hi, above)]
+        for steps in BUDGETS:
+            for point in points:
+                got = leaf.locate(point, Budget(steps))
+                if got is not Placement.EXHAUSTED:
+                    assert placement_fits(got, deep, point), (seed, leaf.label, point, steps)
+                    checked += 1
+            for interval in intervals:
+                got = leaf.decide(interval, Budget(steps))
+                if got is not QueryResult.EXHAUSTED:
+                    assert answer_fits(got, deep, interval), (seed, leaf.label, interval, steps)
+                    checked += 1
+    # Zeros answer every question from their sign rule; of the other
+    # questions, those at rational numbers and at lubs' upper bounds never
+    # settle.
+    assert checked > 10000

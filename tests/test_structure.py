@@ -8,9 +8,11 @@ import pytest
 
 import realoracle
 from realoracle.arithmetic import CompareResult, compare, o_add, o_mul, o_neg, o_sub
-from realoracle.constructors import nth_root_oracle, rational_oracle
+from realoracle.constructors import CauchySpec, cauchy_oracle, nth_root_oracle, rational_oracle
+from realoracle.errors import BudgetExhausted
 from realoracle.intervals import RInterval, interval_make
-from realoracle.oracle import Budget, FonsiSource, Placement, QueryResult, oracle_from_fonsi, precision
+from realoracle.oracle import Budget, FonsiSource, Placement, QueryResult, oracle_from_fonsi, precision, target_bits
+from realoracle.refine import to_decimal
 
 PACKAGE = Path(realoracle.__file__).parent
 
@@ -108,10 +110,18 @@ def boundary_compare(x, budget):
     return compare(x, x, budget) is CompareResult.UNDECIDED
 
 
+def boundary_decimal(y, budget):
+    # 2 = 2.000... sits on every last-place boundary, so the enclosure
+    # straddles one however narrow it gets.
+    with pytest.raises(BudgetExhausted):
+        to_decimal(o_mul(y, y), 50, budget)
+    return True
+
+
 @pytest.mark.parametrize(
     "ask, image",
-    [(boundary_sub, "sub"), (boundary_mul, "mul"), (boundary_compare, "sub")],
-    ids=["x - x", "y * y", "compare(x, x)"],
+    [(boundary_sub, "sub"), (boundary_mul, "mul"), (boundary_compare, "sub"), (boundary_decimal, "mul")],
+    ids=["x - x", "y * y", "compare(x, x)", "to_decimal(y * y)"],
 )
 def test_a_boundary_question_costs_log_budget_node_steps(monkeypatch, ask, image):
     # The question never settles, so it spends the whole budget. The node
@@ -158,3 +168,20 @@ def test_a_budget_takes_no_leaf_past_one_element_pulls(shape, budget):
         else:
             assert node.locate(value, Budget(budget)) is Placement.EXHAUSTED
         assert max(pulls(a, b)) <= budget
+
+
+def test_a_boundary_question_costs_log_budget_leaf_seeks():
+    # A Cauchy leaf without its limit: the singleton of the limit never
+    # settles. Its pulls gallop like a node's, each seek costing one term
+    # call, and the leaf ends as deep as one-element pulls take it.
+    calls = [0]
+
+    def term(n):
+        calls[0] += 1
+        return 2 - F(1, 2**n)
+
+    leaf = cauchy_oracle(CauchySpec(term, target_bits))
+    budget = 10**4
+    assert leaf.decide(RInterval(F(2), F(2)), Budget(budget)) is QueryResult.EXHAUSTED
+    assert calls[0] <= 20
+    assert precision(leaf.enclosure) == budget - 2
