@@ -169,10 +169,10 @@ def sign(value) -> int:
 
 
 def random_unhinted_leaf(rng: random.Random):
-    """A leaf whose questions near its number go to the budgeted pulls: a
-    Cauchy limit, a fonsi, a lub (at its upper bounds), or a zero of an
-    opaque sign rule (whose refinement seeks). Half of them sit on a
-    rational, where questions at the number never settle."""
+    """A leaf that answers questions near its number by budgeted pulls (a
+    Cauchy limit, a fonsi, a lub at its upper bounds), or a zero of an
+    opaque sign rule, which answers by that rule and refines by pulls. Half
+    of them sit on a rational, where questions at the number never settle."""
     kind = rng.choice(("cauchy", "fonsi", "lub", "zero"))
     num, den = rng.randint(2, 40), rng.randint(1, 6)
     q = F(num, den)
