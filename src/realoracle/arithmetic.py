@@ -80,6 +80,11 @@ def o_abs(x: Oracle) -> Oracle:
     return _node((x,), RInterval.absolute, f"|{x.label}|", _same)
 
 
+# Operator sugar on every oracle; oracle.py cannot import this module.
+Oracle.__neg__, Oracle.__add__, Oracle.__sub__ = o_neg, o_add, o_sub
+Oracle.__mul__, Oracle.__abs__ = o_mul, o_abs
+
+
 def o_recip(x: Oracle, witness: RInterval) -> Oracle:
     """Reciprocal of an oracle known to avoid zero.
 

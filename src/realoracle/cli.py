@@ -123,9 +123,9 @@ def _tokenize(source: str) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             tokens.append(_Token("int", text[start:i], start))
             continue
@@ -453,8 +453,7 @@ def _build_parser() -> _Argv:
     return parser
 
 
-def _cmd_eval(args) -> int:
-    oracle = build_oracle(parse_expr(args.expr))
+def _cmd_eval(args, oracle: Oracle) -> int:
     budget = Budget(args.budget)
     try:
         enclosure = to_decimal(oracle, args.digits, budget)
@@ -481,22 +480,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_cf(args) -> int:
-    oracle = build_oracle(parse_expr(args.expr))
+def _cmd_cf(args, oracle: Oracle) -> int:
     expansion = mediant_expand(oracle, args.terms, Budget(args.budget))
     print(str(expansion))
     return 0
 
 
-def _cmd_approx(args) -> int:
-    oracle = build_oracle(parse_expr(args.expr))
+def _cmd_approx(args, oracle: Oracle) -> int:
     best = best_approx(oracle, args.maxden, Budget(args.budget))
     print(format_rational(best))
     return 0
 
 
-def _cmd_query(args) -> int:
-    oracle = build_oracle(parse_expr(args.expr))
+def _cmd_query(args, oracle: Oracle) -> int:
     interval = parse_interval(args.interval)
     answer = oracle.decide(interval, Budget(args.budget))
     if answer is QueryResult.EXHAUSTED:
@@ -506,8 +502,7 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    oracle = build_oracle(parse_expr(args.expr))
+def _cmd_check(args, oracle: Oracle) -> int:
     reports = check_axioms(oracle, args.seed, args.samples, Budget(args.budget))
     for report in reports:
         print(str(report))
@@ -537,11 +532,11 @@ def run_command(argv: Sequence[str]) -> int:
         print(f"error: {usage}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, build_oracle(parse_expr(args.expr)))
     except BudgetExhausted as stop:
         print(f"budget exhausted: {stop}", file=sys.stderr)
         return 2
-    except (OracleError, ValueError) as failure:
+    except (OracleError, ValueError, RecursionError) as failure:
         print(f"error: {failure}", file=sys.stderr)
         return 1
 

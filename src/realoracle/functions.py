@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from .constructors import rational_oracle
-from .errors import DomainEscape, ZeroInDenominator
+from .errors import DomainEscape, OracleError, ZeroInDenominator
 from .intervals import RInterval, as_rational, format_rational
 from .oracle import Budget, Oracle, QueryResult, clamp_to, node_oracle, target_bits
 
@@ -120,7 +120,9 @@ def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
     def split(bits: int, got: RInterval) -> Tuple[int]:
         # Bases lie in the domain, or else in x's enclosure; a cut to the
         # domain is at most twice as wide as x's enclosure.
-        base = fn.modulus(Fraction(2) ** -bits, got if fn.domain is None else fn.domain)
+        base = Fraction(fn.modulus(Fraction(2) ** -bits, got if fn.domain is None else fn.domain))
+        if base <= 0:
+            raise OracleError(f"modulus of {fn.description} gave the base width {base}, not a positive one")
         return (target_bits(base) + (clamp is not None),)
 
     return node_oracle((x,), image, f"{fn.description}({x.label})", split)
@@ -158,14 +160,11 @@ def poly_extension(coeffs) -> FunctionOracle:
         if width <= 0:
             raise ValueError("target width must be positive")
         mag = max(abs(within.lo), abs(within.hi))
-        # Width through stage k grows by at most mag per level plus the
-        # magnitude bound of the incoming stage; summed, base width delta
-        # yields output width at most delta * slope.
-        degree = len(cs) - 1
-        slope = Fraction(0)
-        for k in range(1, degree + 1):
-            stage_mag = sum(abs(cs[j]) * mag ** (j - k) for j in range(k, degree + 1))
-            slope += mag ** (k - 1) * stage_mag
+        # Each Horner stage widens by at most mag per level plus the
+        # magnitude bound of the incoming stage. Summed over the stages that
+        # is sum(j * |c_j| * mag**(j - 1)), so base width delta yields output
+        # width at most delta * slope.
+        slope = sum(j * abs(cs[j]) * mag ** (j - 1) for j in range(1, len(cs)))
         if slope == 0:
             return width
         return width / slope

@@ -33,7 +33,8 @@ the enclosure misses the query's own target (``refine`` and
 aiming 8, then 16, 32, ... bits past the current precision but never
 more than the steps left. So a question that needs d bits takes about
 log2(d) pulls rather than d. ``compare`` locates 0 on the node
-``x - y``. Only ``refiner()`` steps one element at a time.
+``x - y``. Only ``refiner()`` pulls without a target: each of its steps
+draws one element from every leaf below, a shared one once.
 
 Oracles are safe to share between threads: stream pulls are serialized by a
 lock, and the cached narrowest interval only ever shrinks, so concurrent
@@ -124,18 +125,17 @@ class Oracle:
 
     A leaf pulls ``stream_factory()``. A node (see :func:`node_oracle`)
     holds its ``operands`` and an ``image`` function that maps one enclosure
-    per operand to an enclosure of the node's number. Its first pull pulls
-    every operand once, and a shared one once in all. A later pull with a
-    target pulls, with its own target from ``split``, every operand that
-    misses it; every budgeted query pulls so (see ``_settle``). Without a
-    target, as ``refiner()`` pulls, it advances one operand, round-robin.
+    per operand to an enclosure of the node's number. Its first pull, and
+    every pull without a target (as ``refiner()`` pulls), pulls every
+    operand once, and a shared one once in all. A later pull with a target
+    pulls, with its own target from ``split``, every operand that misses
+    it; every budgeted query pulls so (see ``_settle``).
     """
 
     operands: Tuple["Oracle", ...] = ()
     image: Optional[Callable[..., RInterval]] = None
     split: Optional[Callable[..., Tuple[int, ...]]] = None
     _known: Optional[List[RInterval]] = None
-    _turn = 0
     _error: Optional[Exception] = None
 
     def __init__(
@@ -153,7 +153,6 @@ class Oracle:
         self._best: Optional[RInterval] = None if root is None else _interval_raw(root, root)
         self._root = root
         self._locate_hint = locate_hint
-        self._partial_rule = None if locate_hint is None else _hint_rule(locate_hint)
         self._lock = threading.Lock()
         self.label = label
 
@@ -185,14 +184,14 @@ class Oracle:
     def _pull(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
         """Advance the refinement by one step and return the new enclosure.
 
-        Without ``bits`` the step is one stream element, or one operand pull
-        for a node; with ``bits`` it aims at width ``2**-bits``. It spends
-        at most ``reach``, and an oracle ``reach`` has visited returns its
-        enclosure without a step. A known root bypasses the stream and is
-        returned as its singleton. A stream that ends simply stops making
-        progress; pulls then return the narrowest interval seen so far. An
-        error of the stream, or of a node whose ``split`` breaks its
-        contract, is kept and raised again by every later pull.
+        Without ``bits`` the step is one stream element, or for a node one
+        pull of every operand; with ``bits`` it aims at width ``2**-bits``.
+        It spends at most ``reach``, and an oracle ``reach`` has visited
+        returns its enclosure without a step. A known root bypasses the
+        stream and is returned as its singleton. A stream that ends simply
+        stops making progress; pulls then return the narrowest interval seen
+        so far. An error of the stream, or of a node whose ``split`` breaks
+        its contract, is kept and raised again by every later pull.
         """
         with self._lock:
             if self._root is not None:
@@ -217,13 +216,11 @@ class Oracle:
             return nxt
 
     def _leaf_step(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
-        it = self._iter
+        it, got = self._iter, self._best
         if it is None:
             if self._stream_factory is None:
                 return None
             it = self._iter = self._stream_factory()
-            return next(it)
-        got = self._best
         if bits is None or got is None:
             return next(it)
         have = precision(got)
@@ -242,15 +239,11 @@ class Oracle:
 
     def _node_step(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
         operands, known = self.operands, self._known
-        if known is None:
+        if known is None or bits is None:
             known = [op._pull(None, reach) for op in operands]
             if any(got is None for got in known):
                 return None
             self._known = known
-        elif bits is None:
-            turn = self._turn
-            known[turn] = operands[turn]._pull(None, reach)
-            self._turn = (turn + 1) % len(operands)
         else:
             wants = self.split(bits, *known)
             missing = [i for i, want in enumerate(wants) if precision(known[i]) < want]
@@ -294,9 +287,10 @@ class Oracle:
                 return None
 
     def refiner(self) -> Iterator[RInterval]:
-        """Infinite stream of successively narrower Yes intervals."""
-        # One reach, emptied before each step: a node's first step then draws a
-        # shared leaf once, and no pull without a target reads the budget.
+        """Infinite stream of successively narrower Yes intervals. Each step
+        draws one element from every leaf below, a shared one once."""
+        # One reach, emptied before each step: a step then draws a shared leaf
+        # once, and no pull without a target reads the budget.
         reach = _Reach(1)
         return iter(lambda: reach.seen.clear() or self._pull(None, reach), None)
 
@@ -305,9 +299,9 @@ class Oracle:
     def decide(self, interval: RInterval, budget: Budget) -> QueryResult:
         if self._error is not None:
             raise self._error
-        rule = self._partial_rule
-        if rule is not None:
-            verdict = rule(interval)
+        hint = self._locate_hint
+        if hint is not None:
+            verdict = _hint_verdict(hint, interval)
             if verdict is not None:
                 return verdict
         root = self._root
@@ -354,33 +348,6 @@ class Oracle:
             return _locate_verdict(self._best, point)
         answer = self._settle(_locate_verdict, point, budget.steps)
         return Placement.EXHAUSTED if answer is None else answer
-
-    # -- operator sugar (delegates to the combinators module)
-
-    def __neg__(self) -> "Oracle":
-        from .arithmetic import o_neg
-
-        return o_neg(self)
-
-    def __add__(self, other: "Oracle") -> "Oracle":
-        from .arithmetic import o_add
-
-        return o_add(self, other)
-
-    def __sub__(self, other: "Oracle") -> "Oracle":
-        from .arithmetic import o_sub
-
-        return o_sub(self, other)
-
-    def __mul__(self, other: "Oracle") -> "Oracle":
-        from .arithmetic import o_mul
-
-        return o_mul(self, other)
-
-    def __abs__(self) -> "Oracle":
-        from .arithmetic import o_abs
-
-        return o_abs(self)
 
 
 def node_oracle(
@@ -473,23 +440,19 @@ def clamp_to(region: RInterval) -> Callable[[RInterval], Optional[RInterval]]:
     return cut
 
 
-def _hint_rule(hint: LocateHint) -> Callable[[RInterval], Optional[QueryResult]]:
-    """The decide rule of an exact locate hint.
+def _hint_verdict(hint: LocateHint, interval: RInterval) -> Optional[QueryResult]:
+    """The answer an exact locate hint gives to ``decide(interval)``.
 
     ``hint(p)`` places the number relative to ``p``, or is None when it can
     only say "at most ``p``" (an upper-bound test cannot tell equality).
     A question is open exactly when the lower end gets None.
     """
-
-    def rule(interval: RInterval) -> Optional[QueryResult]:
-        if hint(interval.hi) is Placement.GREATER:
-            return QueryResult.NO
-        at_lo = hint(interval.lo)
-        if at_lo is Placement.LESS:
-            return QueryResult.NO
-        return None if at_lo is None else QueryResult.YES
-
-    return rule
+    if hint(interval.hi) is Placement.GREATER:
+        return QueryResult.NO
+    at_lo = hint(interval.lo)
+    if at_lo is Placement.LESS:
+        return QueryResult.NO
+    return None if at_lo is None else QueryResult.YES
 
 
 def _decide_verdict(known: RInterval, interval: RInterval) -> Optional[QueryResult]:

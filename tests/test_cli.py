@@ -78,6 +78,15 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse_expr("1 $ 2")
 
+    @pytest.mark.parametrize("text,position", [("²", 0), ("sqrt(²)", 5)])
+    def test_a_digit_int_cannot_read_is_a_syntax_error(self, text, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text)
+        assert err.value.position == position
+
+    def test_decimal_digits_of_any_script(self):
+        assert parse_expr("1 + ٣") == Add(RationalLit(F(1)), RationalLit(F(3)))
+
     def test_precedence(self):
         got = parse_expr("1 + 2 * 3")
         assert got == Add(RationalLit(F(1)), Mul(RationalLit(F(2)), RationalLit(F(3))))
@@ -183,6 +192,24 @@ class TestCommands:
         code = run_command(["eval", "sqrt(2"])
         err = capsys.readouterr().err
         assert code == 1 and "error" in err
+
+    def test_superscript_digit_exits_one(self, capsys):
+        assert run_command(["eval", "sqrt(²)"]) == 1
+        assert capsys.readouterr().err.startswith("error: syntax error at position 5")
+
+    # At the default recursion limit: 400 nested parentheses overflow the
+    # parser, and 600 terms (two frames per level where comprehensions are
+    # inlined) overflow the pull, though not build_oracle.
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 400 + "1" + ")" * 400, " + ".join(["sqrt(2)"] * 600)],
+        ids=["parentheses", "sum"],
+    )
+    def test_too_deep_an_expression_exits_one(self, expr, capsys):
+        assert run_command(["eval", expr]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: maximum recursion depth exceeded")
 
     def test_usage_error_exits_one(self, capsys):
         code = run_command(["eval"])

@@ -64,6 +64,24 @@ class TestPolyExtension:
             base = interval_make(lo, min(lo + delta, F(5)))
             assert fn.extension(base).width <= want
 
+    def test_modulus_matches_the_stagewise_slope(self):
+        def stagewise(cs, mag):
+            # Horner stage k: mag**(k - 1) times the magnitude bound of the
+            # polynomial from c_k up.
+            degree = len(cs) - 1
+            return sum(mag ** (k - 1) * sum(abs(cs[j]) * mag ** (j - k) for j in range(k, degree + 1))
+                       for k in range(1, degree + 1))
+
+        rng = random.Random(15)
+        want = F(1, 1000)
+        for degree in range(7):
+            for _ in range(30):
+                coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)]
+                for mag in (F(0), F(rng.randint(1, 40), rng.randint(1, 8))):
+                    slope = stagewise(coeffs, mag)
+                    got = poly_extension(coeffs).modulus(want, interval_make(-mag, mag))
+                    assert got == (want / slope if slope else want), (coeffs, mag)
+
 
 class TestRectDecide:
     def test_exact_monotone_image_inside(self):
@@ -235,4 +253,20 @@ class TestApplyPullsStayWithinTheBudget:
         with pytest.raises(OracleError, match="split"):
             node.refine(F(1, 2**40), Budget(1000))
         with pytest.raises(OracleError, match="split"):
+            node.decide(interval_make(3, 3), Budget(1000))
+
+    def test_a_float_modulus_refines(self):
+        square = poly_extension([0, 0, 1])
+        fn = FunctionOracle(square.extension, lambda width, within: float(square.modulus(width, within)))
+        got = apply(fn, nth_root_oracle(2, 3)).refine(F(1, 2**40), Budget(1000))
+        assert got.width <= F(1, 2**40) and got.contains(F(3))
+
+    @pytest.mark.parametrize("base", [0, F(-1, 4)])
+    def test_a_modulus_without_a_positive_width_is_raised(self, base):
+        square = poly_extension([0, 0, 1])
+        fn = FunctionOracle(square.extension, lambda width, within: base, description="sq")
+        node = apply(fn, nth_root_oracle(2, 3))
+        with pytest.raises(OracleError, match="modulus of sq"):
+            node.refine(F(1, 2**40), Budget(1000))
+        with pytest.raises(OracleError, match="modulus of sq"):
             node.decide(interval_make(3, 3), Budget(1000))

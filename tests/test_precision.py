@@ -335,10 +335,15 @@ class TestCauchySeek:
 
 
 class TestNodeTargets:
-    def test_three_leaves_take_fewer_steps_than_the_refiner(self):
+    def test_a_target_pull_is_charged_its_furthest_leaf(self):
+        # Each refiner step draws one element of each of the three leaves,
+        # about 609 in all to reach the width; a target pull is charged the
+        # furthest it took one leaf, not the elements it drew.
         width = F(1, 2**200)
-        pulls = next(k for k, got in enumerate(three_leaves().refiner(), 1) if got.width <= width)
-        assert three_leaves().refine(width, Budget(pulls // 2)).width <= width
+        steps = next(k for k, got in enumerate(three_leaves().refiner(), 1) if got.width <= width)
+        assert 200 <= steps <= 205
+        assert three_leaves().refine(width, Budget(210)).width <= width
+        assert three_leaves().refine(width, Budget(150)) is None
 
     def test_small_budget_still_exhausts(self):
         assert three_leaves().refine(F(1, 2**200), Budget(50)) is None

@@ -49,26 +49,17 @@ def pulls(*leaves):
     return tuple(leaf.pulls for leaf in leaves)
 
 
-def test_node_pulls_every_operand_first_then_round_robin():
+def test_each_refiner_step_pulls_every_leaf_once():
     a, b, c = Counting(F(1)), Counting(F(2)), Counting(F(3))
-    node = o_mul(o_add(a.oracle, b.oracle), c.oracle)
+    node = o_mul(o_add(a.oracle, b.oracle), o_add(c.oracle, a.oracle))
     stream = node.refiner()
     seen = []
-    for _ in range(7):
+    for _ in range(4):
         next(stream)
         seen.append(pulls(a, b, c))
-    # The outer node pulls (a + b) then c on its first pull, and the inner
-    # node pulls a then b on its own first pull. Later pulls alternate
-    # between (a + b), which advances a or b in turn, and c.
-    assert seen == [
-        (1, 1, 1),
-        (2, 1, 1),
-        (2, 1, 2),
-        (2, 2, 2),
-        (2, 2, 3),
-        (3, 2, 3),
-        (3, 2, 4),
-    ]
+    # Every step pulls every operand of every node, and the shared leaf a,
+    # reached by two paths, once.
+    assert seen == [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4)]
 
 
 def test_compare_pulls_both_sides_on_its_first_step():
