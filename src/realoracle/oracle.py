@@ -19,13 +19,15 @@ with an exact test of where the number lies relative to a rational point
 such answers never consume budget. One budget step is one pull.
 
 A pull may carry a precision target: make the width at most ``2**-bits``.
-Budgeted queries pull that way. A node splits the target into one target
-per operand, and a leaf takes several stream elements in that one pull,
-or seeks straight to the precision when its stream can. A pull visits
-each oracle of the DAG at most once, however many paths lead to it. It is
-charged as many steps as the furthest it took a leaf (in elements, or in
-bits for a seeking stream), and never more than the budget left, so a
-budget takes a leaf no further than one-element pulls would.
+Budgeted queries pull that way. A pull is one pass, without recursion.
+Top-down, a node splits its target into one target per operand, an oracle
+reached by several paths wants the largest of them, and only an oracle
+whose enclosure misses its want gets one. Bottom-up, each oracle that got
+a want then steps once: a leaf takes several stream elements, or seeks
+straight to the precision when its stream can, and a node maps its
+operands' new enclosures. The pull is charged the furthest it took a leaf
+(elements, or bits when seeking) and never more than the budget left, so
+a budget takes a leaf no further than one-element pulls would.
 
 Every budgeted query pulls by one rule, on leaves and nodes alike: while
 the enclosure misses the query's own target (``refine`` and
@@ -36,9 +38,10 @@ log2(d) pulls rather than d. ``compare`` locates 0 on the node
 ``x - y``. Only ``refiner()`` pulls without a target: each of its steps
 draws one element from every leaf below, a shared one once.
 
-Oracles are safe to share between threads: stream pulls are serialized by a
-lock, and the cached narrowest interval only ever shrinks, so concurrent
-queries return consistent definitive answers.
+Oracles are safe to share between threads: a pull takes one oracle's lock
+at a time, for that oracle's own step, and the cached narrowest interval
+only ever shrinks, so concurrent queries return consistent definitive
+answers.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidFonsi, OracleError
 from .intervals import RInterval, _interval_raw, _q_le, _raw_fraction, as_rational, format_rational
@@ -126,16 +130,17 @@ class Oracle:
     A leaf pulls ``stream_factory()``. A node (see :func:`node_oracle`)
     holds its ``operands`` and an ``image`` function that maps one enclosure
     per operand to an enclosure of the node's number. Its first pull, and
-    every pull without a target (as ``refiner()`` pulls), pulls every
-    operand once, and a shared one once in all. A later pull with a target
-    pulls, with its own target from ``split``, every operand that misses
-    it; every budgeted query pulls so (see ``_settle``).
+    every pull without a target (as ``refiner()`` pulls), steps every
+    operand once. A later pull with a target steps each operand that misses
+    its target from ``split``, at the largest target any of its parents
+    sets; every budgeted query pulls so (see ``_settle``). Each pull is one
+    pass (``_pass``), so a shared operand steps once in it.
     """
 
     operands: Tuple["Oracle", ...] = ()
     image: Optional[Callable[..., RInterval]] = None
     split: Optional[Callable[..., Tuple[int, ...]]] = None
-    _known: Optional[List[RInterval]] = None
+    _height = 0
     _error: Optional[Exception] = None
 
     def __init__(
@@ -181,79 +186,109 @@ class Oracle:
                 self._best = _interval_raw(value, value)
                 self._root = value
 
-    def _pull(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
-        """Advance the refinement by one step and return the new enclosure.
-
-        Without ``bits`` the step is one stream element, or for a node one
-        pull of every operand; with ``bits`` it aims at width ``2**-bits``.
-        It spends at most ``reach``, and an oracle ``reach`` has visited
-        returns its enclosure without a step. A known root bypasses the
-        stream and is returned as its singleton. A stream that ends simply
-        stops making progress; pulls then return the narrowest interval seen
-        so far. An error of the stream, or of a node whose ``split`` breaks
-        its contract, is kept and raised again by every later pull.
-        """
-        with self._lock:
-            if self._root is not None:
-                return self._best
-            if self._error is not None:
-                raise self._error
-            if self in reach.seen:
-                return self._best
-            reach.seen.add(self)
+    def _pass(self, bits: Optional[int], steps: int) -> Tuple[Optional[RInterval], int]:
+        """One pull: targets down, enclosures up, without recursion. Top-down
+        in height order, an oracle's want is the largest any parent asks,
+        None (no target) ranking below every target. A node that wants None,
+        or was never pulled, asks each operand for None, else asks by
+        ``split``; only an operand that misses what it is asked gets a want.
+        Then each oracle that got one steps once, bottom-up. Returns the new
+        enclosure and the charge (the furthest a leaf went, at least 1), and
+        raises the error the pass left on this oracle."""
+        wants = {self: bits}
+        heap = [(-self._height, id(self), self)]
+        order = []
+        while heap:
+            node = heappop(heap)[2]
+            order.append(node)
+            operands, want = node.operands, wants[node]
+            if not operands or node._root is not None or node._error is not None:
+                continue
+            # The node's enclosure first: once it is set, every operand's is,
+            # so a pull that races another's first pull reads no None below.
+            best = node._best
+            known = [op._best for op in operands]
             try:
-                nxt = self._node_step(bits, reach) if self.operands else self._leaf_step(bits, reach)
+                asks = [None] * len(operands) if want is None or best is None else node.split(want, *known)
+            except Exception as exc:
+                node._error = exc
+                continue
+            met = True
+            for op, got, ask in zip(operands, known, asks):
+                if op._root is not None or (ask is not None and precision(got) >= ask):
+                    continue
+                met = False
+                if op not in wants:
+                    wants[op] = ask
+                    heappush(heap, (-op._height, id(op), op))
+                elif ask is not None and (wants[op] is None or ask > wants[op]):
+                    wants[op] = ask
+            if not met:  # a node checks its image only when its split is met
+                wants[node] = None
+        used = 1
+        for oracle in order[::-1]:
+            taken = oracle._pull(wants[oracle], steps)
+            if taken > used:
+                used = taken
+        if self._error is not None:
+            raise self._error
+        return self._best, used
+
+    def _pull(self, bits: Optional[int], steps: int) -> int:
+        """Step this oracle once; returns how far it took a leaf. A leaf takes
+        one element, or with ``bits`` aims at width ``2**-bits`` within
+        ``steps`` elements (bits, when seeking). A node maps its operands'
+        enclosures by ``image``, and given ``bits`` (its split was met) raises
+        if the image is wider. An error of the step, or one an operand holds,
+        is kept. A known root, or a stream that ended, steps no further."""
+        with self._lock:
+            if self._root is not None or self._error is not None:
+                return 0
+            taken, operands = 0, self.operands
+            try:
+                if operands:
+                    known = []
+                    for op in operands:
+                        if op._error is not None:
+                            raise op._error
+                        known.append(op._best)
+                    # Operand enclosures only shrink, and image runs once per
+                    # step under this lock: clamp_to cuts keep state.
+                    nxt = None if self._best is None and None in known else self.image(*known)
+                    if bits is not None and precision(nxt) < bits:
+                        raise OracleError(f"split of {self.label} is met, yet {nxt} is wider than 2**-{bits}")
+                else:
+                    nxt, taken = self._leaf_step(bits, steps)
             except StopIteration:
                 nxt = None
             except Exception as exc:
                 self._error = exc
-                raise
-            if nxt is None:
-                return self._best
-            self._best = nxt
-            if nxt.is_singleton:
-                self._root = nxt.lo
-            return nxt
+                return 0
+            if nxt is not None:
+                self._best = nxt
+                if nxt.is_singleton:
+                    self._root = nxt.lo
+            return taken
 
-    def _leaf_step(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
+    def _leaf_step(self, bits: Optional[int], steps: int) -> Tuple[Optional[RInterval], int]:
         it, got = self._iter, self._best
         if it is None:
             if self._stream_factory is None:
-                return None
+                return None, 0
             it = self._iter = self._stream_factory()
         if bits is None or got is None:
-            return next(it)
+            return next(it), 1
         have = precision(got)
         seek = getattr(it, "seek", None)
         if seek is not None:
             # A seeking stream jumps one bit per step it is charged.
-            goal = min(max(bits, have + 1), have + reach.steps)
-            reach.used = max(reach.used, goal - have)
-            return seek(goal)
+            goal = min(max(bits, have + 1), have + steps)
+            return seek(goal), goal - have
         taken = 0
         for taken, got in enumerate(it, 1):
-            if taken == reach.steps or precision(got) >= bits:
+            if taken == steps or precision(got) >= bits:
                 break
-        reach.used = max(reach.used, taken)
-        return got
-
-    def _node_step(self, bits: Optional[int], reach: "_Reach") -> Optional[RInterval]:
-        operands, known = self.operands, self._known
-        if known is None or bits is None:
-            known = [op._pull(None, reach) for op in operands]
-            if any(got is None for got in known):
-                return None
-            self._known = known
-        else:
-            wants = self.split(bits, *known)
-            missing = [i for i, want in enumerate(wants) if precision(known[i]) < want]
-            if not missing and precision(self._best) < bits:
-                raise OracleError(f"split of {self.label} is met, yet {self._best} is wider than 2**-{bits}")
-            for i in missing:
-                known[i] = operands[i]._pull(wants[i], reach)
-        # An operand that has given an enclosure never pulls None again, and
-        # image runs once per step: clamp_to cuts keep state.
-        return self.image(*known)
+        return got, taken
 
     def _settle(
         self, verdict: Callable[[RInterval, Any], Any], query: Any, steps: int, bits: Optional[int] = None
@@ -280,19 +315,15 @@ class Oracle:
             if known is not None and (bits is None or precision(known) >= bits):
                 goal = precision(known) + min(gain, steps)
                 gain *= 2
-            reach = _Reach(steps)
-            known = self._pull(goal, reach)
-            steps -= reach.used
+            known, used = self._pass(goal, steps)
+            steps -= used
             if known is None:
                 return None
 
     def refiner(self) -> Iterator[RInterval]:
         """Infinite stream of successively narrower Yes intervals. Each step
         draws one element from every leaf below, a shared one once."""
-        # One reach, emptied before each step: a step then draws a shared leaf
-        # once, and no pull without a target reads the budget.
-        reach = _Reach(1)
-        return iter(lambda: reach.seen.clear() or self._pull(None, reach), None)
+        return iter(lambda: self._pass(None, 1)[0], None)
 
     # -- queries
 
@@ -370,19 +401,8 @@ def node_oracle(
     node.operands = tuple(operands)
     node.image = image
     node.split = split
+    node._height = 1 + max([op._height for op in node.operands])
     return node
-
-
-class _Reach:
-    """How far one pull may take a leaf, what it spent (the furthest
-    it took one, and at least one step), and the oracles it has visited."""
-
-    __slots__ = ("steps", "used", "seen")
-
-    def __init__(self, steps: int):
-        self.steps = steps
-        self.used = 1
-        self.seen: set = set()
 
 
 def _log2_floor(num: int, den: int) -> int:

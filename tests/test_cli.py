@@ -198,11 +198,11 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: syntax error at position 5")
 
     # At the default recursion limit: 400 nested parentheses overflow the
-    # parser, and 600 terms (two frames per level where comprehensions are
-    # inlined) overflow the pull, though not build_oracle.
+    # parser, and a sum of 2000 terms overflows build_oracle, one frame per
+    # term. Pulls do not recurse, so a sum that builds evaluates.
     @pytest.mark.parametrize(
         "expr",
-        ["(" * 400 + "1" + ")" * 400, " + ".join(["sqrt(2)"] * 600)],
+        ["(" * 400 + "1" + ")" * 400, " + ".join(["sqrt(2)"] * 2000)],
         ids=["parentheses", "sum"],
     )
     def test_too_deep_an_expression_exits_one(self, expr, capsys):
@@ -210,6 +210,10 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: maximum recursion depth exceeded")
+
+    def test_a_long_sum_evaluates(self, capsys):
+        assert run_command(["eval", " + ".join(["sqrt(2)"] * 600)]) == 0
+        assert capsys.readouterr().out == "848.5281374238 ± 1e-10\n"
 
     def test_usage_error_exits_one(self, capsys):
         code = run_command(["eval"])

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from realoracle.arithmetic import compare
+from realoracle.arithmetic import compare, o_add, o_neg
 from realoracle.constructors import nth_root_oracle, rational_oracle
 from realoracle.errors import InvalidFonsi
 from realoracle.intervals import RInterval, interval_make
@@ -243,6 +243,18 @@ class TestStickyErrors:
         for _ in range(2):
             with pytest.raises(InvalidFonsi):
                 o.decide(interval_make(F(1, 2), 1), Budget(5))
+
+    def test_an_error_stays_on_every_node_above_the_leaf(self):
+        # The leaf fails in the pull's second pass; the node between it and
+        # the top keeps the error as well, not only the leaf and the top.
+        bad = oracle_from_fonsi(FonsiSource(iter([interval_make(0, 1), interval_make(0, F(1, 2)), interval_make(2, 3)])))
+        middle = o_neg(bad)
+        top = o_add(middle, nth_root_oracle(2, 2))
+        with pytest.raises(InvalidFonsi):
+            top.refine(F(1, 2**40), Budget(100))
+        for oracle in (bad, middle, top):
+            with pytest.raises(InvalidFonsi):
+                oracle.enclosure
 
 
 class TestStickyErrorsOverCachedAnswers:

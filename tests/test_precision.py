@@ -6,6 +6,7 @@ so a budget never takes a leaf further than one-element pulls would.
 """
 
 import itertools
+import math
 import random
 import sys
 import threading
@@ -403,6 +404,21 @@ class TestSharedOperands:
         assert len(drawn) <= 3
 
 
+def test_a_chain_deeper_than_the_recursion_limit_refines():
+    # A pull visits the chain in one loop, not one frame per level.
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    node = nth_root_oracle(2, 2)
+    for _ in range(depth):
+        node = o_add(node, nth_root_oracle(2, 2))
+    got = node.refine(F(1, 10**6), Budget(100))
+    assert got is not None and got.width <= F(1, 10**6)
+    # The sum is (depth + 1) * sqrt(2).
+    scale = 10**12
+    lo = F(math.isqrt(2 * (depth + 1) ** 2 * scale**2), scale)
+    assert got.intersects(interval_make(lo, lo + F(1, scale)))
+
+
 class TestWidthTypes:
     @pytest.mark.parametrize("width", [0.001, Decimal("0.001"), F(1, 1000), 2], ids=lambda w: type(w).__name__)
     def test_any_rational_width(self, width):
@@ -410,22 +426,21 @@ class TestWidthTypes:
         assert got.width <= F(width) and got.contains(F(141421, 10**5))
 
 
-def test_threads_share_targeted_and_one_bit_pulls():
-    o = three_leaves()
-    results, errors = [], []
+def run_threads(work, count=6):
+    """Run ``work(k)`` for k < count on as many threads, switching between
+    them as often as the interpreter allows; return what they raised."""
+    errors = []
 
-    def work(k):
+    def guarded(k):
         try:
-            for bits in range(8, 600, 29 + k):
-                results.append(o.refine(F(1, 2**bits), Budget(10**4)))
-                o.decide(interval_make(F(7, 2), 4), Budget(3))
-        except Exception as exc:  # reported by the assertion below
+            work(k)
+        except Exception as exc:  # returned to the caller's assertion
             errors.append(exc)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        threads = [threading.Thread(target=guarded, args=(k,)) for k in range(count)]
         for t in threads:
             t.start()
         for t in threads:
@@ -433,7 +448,56 @@ def test_threads_share_targeted_and_one_bit_pulls():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    return errors
+
+
+def test_threads_share_targeted_and_one_bit_pulls():
+    o = three_leaves()
+    results = []
+
+    def work(k):
+        for bits in range(8, 600, 29 + k):
+            results.append(o.refine(F(1, 2**bits), Budget(10**4)))
+            o.decide(interval_make(F(7, 2), 4), Budget(3))
+
+    assert run_threads(work) == []
     # Every answer is a Yes interval of one nested sequence.
     assert all(got is not None and got.encloses(o.enclosure) for got in results)
     assert interval_make(F(35138482438495559, 10**16), F(3513848243849556, 10**15)).encloses(o.enclosure)
+
+
+def test_threads_pull_roots_that_share_leaves():
+    # Two roots pull the shared leaves x and y in opposite operand order, and
+    # a third steps them through refiner(). A pull holds one lock at a time,
+    # so no two pulls can wait on each other.
+    x, y = nth_root_oracle(2, 2), nth_root_oracle(2, 3)
+    roots = (o_add(x, y), o_mul(y, x), o_sub(x, y))
+    results = [[], [], []]
+
+    def work(k):
+        root, got = roots[k % 3], results[k % 3]
+        if k % 3 == 2:
+            got.extend(itertools.islice(root.refiner(), 300))
+        else:
+            for bits in range(8, 800, 23 + k):
+                got.append(root.refine(F(1, 2**bits), Budget(10**4)))
+
+    assert run_threads(work) == []
+    for root, got in zip(roots, results):
+        assert got and all(iv is not None and iv.encloses(root.enclosure) for iv in got)
+
+
+def test_threads_make_the_first_pull_of_fresh_nodes_together():
+    # Each thread may read a node's operands before another thread's first
+    # pull sets them, and the node's enclosure after; it must still pull.
+    nodes = [op(nth_root_oracle(2, 2), nth_root_oracle(2, 3)) for _ in range(300) for op in (o_add, o_mul)]
+    start = threading.Barrier(6)
+
+    def work(k):
+        for node in nodes:
+            start.wait(timeout=10)
+            got = node.refine(F(1, 2**20), Budget(100))
+            assert got is not None and got.width <= F(1, 2**20)
+
+    assert run_threads(work) == []
+    assert all(node.enclosure.width <= F(1, 2**20) for node in nodes)

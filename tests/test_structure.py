@@ -135,6 +135,27 @@ def test_a_boundary_question_costs_log_budget_node_steps(monkeypatch, ask, image
     assert precision(leaf.enclosure) == budget - 1
 
 
+def test_a_shared_leaf_steps_once_to_the_largest_want_of_its_parents(monkeypatch):
+    # Asked for 2**-1000, the top asks x for 1001 bits and, three levels
+    # down, for 1004; y is asked for 1002, 1003 and 1004. Each steps once,
+    # to the largest, so one pass of the four add nodes reaches the width.
+    # The patch comes before the build: each node keeps RInterval.add.
+    calls = [0]
+    add = RInterval.add
+
+    def counting(*known):
+        calls[0] += 1
+        return add(*known)
+
+    monkeypatch.setattr(RInterval, "add", counting)
+    x, y = nth_root_oracle(2, 2 * 10**12), nth_root_oracle(2, 3)
+    node = o_add(x, o_add(y, o_add(y, o_add(y, x))))
+    assert node.refine(F(1, 2**64), Budget(1000)) is not None
+    calls[0] = 0
+    assert node.refine(F(1, 2**1000), Budget(10**4)).width <= F(1, 2**1000)
+    assert calls[0] == 4
+
+
 # Each shape over leaves a = 1 and b = 2, with its exact value. Counting
 # leaves never reach a point, so questions at the value never settle.
 SHAPES = {
