@@ -18,19 +18,22 @@ Expression grammar::
     RATIONAL := ["-"] INT ["/" INT]
 
 ``polyzero`` lists polynomial coefficients low to high, then the bracket
-endpoints. Division by a rational literal is exact; division by a compound
-expression is rejected with a hint to use ``recip`` with a witness
-interval.
+endpoints. Division by a rational literal is exact, left to right; division
+by a compound expression is rejected with a hint to use ``recip`` with a
+witness interval. Trees are walked without recursion (``_fold``); only the
+parser recurses, on parentheses and ``recip(``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .arithmetic import o_add, o_mul, o_neg, o_recip, o_sub
@@ -42,7 +45,7 @@ from .errors import (
     ExprSyntaxError,
     OracleError,
 )
-from .intervals import RInterval, format_rational, parse_interval
+from .intervals import format_rational, interval_make, parse_interval
 from .oracle import Budget, Oracle, QueryResult
 from .refine import best_approx, mediant_expand, to_decimal
 
@@ -171,15 +174,16 @@ class _Parser:
         return None
 
     # RATIONAL := ["-"] INT ["/" INT]
-    def _rational(self) -> Fraction:
+    def _rational(self, divisor: bool = False) -> Fraction:
         negative = self._accept("-") is not None
         whole = self._take("int")
         value = Fraction(int(whole.text))
         # Take "/" only when an integer follows, so term-level division of
-        # non-literals still reaches the fold with its hint.
+        # non-literals still reaches the fold with its hint, and not in a
+        # divisor, so "x/2/3" is "(x/2)/3" as "1/2/3" is.
         nxt = self._peek()
         after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if nxt is not None and nxt.kind == "/" and after is not None and after.kind == "int":
+        if not divisor and nxt is not None and nxt.kind == "/" and after is not None and after.kind == "int":
             self.pos += 1
             den_tok = self._take("int")
             den = int(den_tok.text)
@@ -207,41 +211,45 @@ class _Parser:
 
     def _term(self) -> ExprAst:
         node = self._factor()
+        # The term's constant value (None if it has none) and the factors not
+        # yet in it: a division walks each factor once, and only then.
+        value, unwalked = 1, [node]
         while True:
             if self._accept("*"):
-                node = Mul(node, self._factor())
+                unwalked.append(self._factor())
+                node = Mul(node, unwalked[-1])
             elif self._accept("/"):
                 at = self._here()
-                divisor = self._factor()
-                node = self._fold_division(node, divisor, at)
+                divisor = _constant_value(self._factor(divisor=True))
+                if divisor is None:
+                    raise ExprSemanticError(f"division by a non-literal expression at position {at}; "
+                                            "use recip(expr; lo:hi) with a zero-free witness interval")
+                if divisor == 0:
+                    raise ExprSemanticError(f"division by zero at position {at}")
+                for factor in unwalked:
+                    other = None if value is None else _constant_value(factor)
+                    value = None if other is None else value * other
+                unwalked = []
+                value = None if value is None else value / divisor
+                node = Mul(node, RationalLit(1 / divisor)) if value is None else RationalLit(value)
             else:
                 return node
 
-    def _fold_division(self, num: ExprAst, den: ExprAst, position: int) -> ExprAst:
-        value = _constant_value(den)
-        if value is None:
-            raise ExprSemanticError(
-                f"division by a non-literal expression at position {position}; "
-                "use recip(expr; lo:hi) with a zero-free witness interval"
-            )
-        if value == 0:
-            raise ExprSemanticError(f"division by zero at position {position}")
-        left = _constant_value(num)
-        if left is not None:
-            return RationalLit(left / value)
-        return Mul(num, RationalLit(1 / value))
+    def _factor(self, divisor: bool = False) -> ExprAst:
+        negations = 0
+        while self._accept("-"):
+            negations += 1
+        node = self._atom(divisor)
+        while negations:
+            node, negations = Neg(node), negations - 1
+        return node
 
-    def _factor(self) -> ExprAst:
-        if self._accept("-"):
-            return Neg(self._factor())
-        return self._atom()
-
-    def _atom(self) -> ExprAst:
+    def _atom(self, divisor: bool = False) -> ExprAst:
         tok = self._peek()
         if tok is None:
             raise ExprSyntaxError(self._here(), "an expression", "end of input")
         if tok.kind == "int":
-            return RationalLit(self._rational())
+            return RationalLit(self._rational(divisor))
         if tok.kind == "(":
             self.pos += 1
             inner = self._expr()
@@ -253,20 +261,22 @@ class _Parser:
 
     def _call(self, name: _Token) -> ExprAst:
         self.pos += 1
-        if name.text == "sqrt":
+        if name.text in ("sqrt", "root"):
             self._take("(")
-            radicand = self._rational()
-            self._take(")")
-            return self._checked_root(2, radicand, name.position)
-        if name.text == "root":
-            self._take("(")
-            index = self._rational()
-            self._take(",")
+            index = 2
+            if name.text == "root":
+                index = self._rational()
+                self._take(",")
             radicand = self._rational()
             self._take(")")
             if index.denominator != 1:
                 raise ExprSemanticError(f"root index must be an integer, got {index}")
-            return self._checked_root(int(index), radicand, name.position)
+            if index < 1:
+                raise ExprSemanticError(f"root index must be positive, got {index}")
+            if radicand <= 0:
+                raise ExprSemanticError(
+                    f"root radicand must be a positive rational, got {format_rational(radicand)}")
+            return Root(int(index), radicand)
         if name.text == "polyzero":
             self._take("(")
             coeffs = [self._rational()]
@@ -277,14 +287,18 @@ class _Parser:
             self._take(",")
             hi = self._rational()
             self._take(")")
-            return self._checked_polyzero(tuple(coeffs), lo, hi)
+            if lo >= hi:
+                raise ExprSemanticError("polyzero bracket needs lo < hi")
+            sign = polynomial_sign(coeffs).eval_sign
+            s_lo, s_hi = sign(lo), sign(hi)
+            if s_lo != 0 and s_lo == s_hi:
+                raise ExprSemanticError(f"polyzero bracket has the same strict sign ({s_lo:+d}) at both ends")
+            return PolyZero(tuple(coeffs), lo, hi)
         if name.text == "recip":
             self._take("(")
             child = self._expr()
             if not self._accept(";"):
-                raise ExprSemanticError(
-                    f"recip at position {name.position} needs a witness: recip(expr; lo:hi)"
-                )
+                raise ExprSemanticError(f"recip at position {name.position} needs a witness: recip(expr; lo:hi)")
             wit_lo = self._rational()
             self._take(":")
             wit_hi = self._rational()
@@ -292,46 +306,49 @@ class _Parser:
             return Recip(child, wit_lo, wit_hi)
         raise ExprSyntaxError(name.position, "sqrt, root, polyzero, or recip", name.text)
 
-    @staticmethod
-    def _checked_root(index: int, radicand: Fraction, position: int) -> Root:
-        if index < 1:
-            raise ExprSemanticError(f"root index must be positive, got {index}")
-        if radicand <= 0:
-            raise ExprSemanticError(
-                f"root radicand must be a positive rational, got {format_rational(radicand)}"
-            )
-        return Root(index, radicand)
 
-    @staticmethod
-    def _checked_polyzero(coeffs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction) -> PolyZero:
-        if lo >= hi:
-            raise ExprSemanticError("polyzero bracket needs lo < hi")
-        sign = polynomial_sign(coeffs).eval_sign
-        s_lo, s_hi = sign(lo), sign(hi)
-        if s_lo != 0 and s_lo == s_hi:
-            raise ExprSemanticError(
-                f"polyzero bracket has the same strict sign ({s_lo:+d}) at both ends"
-            )
-        return PolyZero(coeffs, lo, hi)
+# -- one walk over the tree ---------------------------------------------------
+
+# The children of each AST class in field order: the only code that knows them.
+_CHILDREN = {RationalLit: (), Root: (), PolyZero: (), Neg: ("child",), Recip: ("child",),
+             Add: ("left", "right"), Sub: ("left", "right"), Mul: ("left", "right")}
+
+
+def _fold(node: ExprAst, visit: Dict[type, Callable[..., Any]]) -> Any:
+    """Fold the tree bottom-up without recursion: ``visit[type(n)]`` gets
+    ``n`` and the folded values of its children in field order. Raises
+    TypeError on a node that is not one of the AST classes."""
+    order, todo = [], [node]
+    while todo:  # pre-order, right child first, so reversed it is a post-order
+        node = todo.pop()
+        fields = _CHILDREN.get(type(node))
+        if fields is None:
+            raise TypeError(f"unknown node {node!r}")
+        order.append((node, fields))
+        todo.extend([getattr(node, name) for name in fields])
+    values: List[Any] = []
+    for node, fields in reversed(order):
+        first = len(values) - len(fields)
+        kids = values[first:]
+        del values[first:]
+        values.append(visit[type(node)](node, *kids))
+    return values[0]
+
+
+def _exact(op: Callable[[Fraction, Fraction], Fraction]) -> Callable[..., Optional[Fraction]]:
+    return lambda _, left, right: None if left is None or right is None else op(left, right)
+
+
+_CONSTANT = {
+    RationalLit: lambda node: node.value,
+    Neg: lambda _, child: None if child is None else -child,
+    Add: _exact(operator.add), Sub: _exact(operator.sub), Mul: _exact(operator.mul),
+    Root: lambda _: None, PolyZero: lambda _: None, Recip: lambda _, child: None,
+}
 
 
 def _constant_value(node: ExprAst) -> Optional[Fraction]:
-    if isinstance(node, RationalLit):
-        return node.value
-    if isinstance(node, Neg):
-        inner = _constant_value(node.child)
-        return None if inner is None else -inner
-    if isinstance(node, (Add, Sub, Mul)):
-        left = _constant_value(node.left)
-        right = _constant_value(node.right)
-        if left is None or right is None:
-            return None
-        if isinstance(node, Add):
-            return left + right
-        if isinstance(node, Sub):
-            return left - right
-        return left * right
-    return None
+    return _fold(node, _CONSTANT)
 
 
 def parse_expr(text: str) -> ExprAst:
@@ -344,66 +361,49 @@ def parse_expr(text: str) -> ExprAst:
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4
 
 
+def _wrap(printed: Tuple[str, int], parent_prec: int) -> str:
+    text, prec = printed
+    return f"({text})" if prec < parent_prec else text
+
+
+def _infix(symbol: str, prec: int) -> Callable[..., Tuple[str, int]]:
+    return lambda _, left, right: (f"{_wrap(left, prec)} {symbol} {_wrap(right, prec + 1)}", prec)
+
+
+# A node folds to its text and precedence, and a parent puts a child in
+# parentheses when the child binds more loosely than the operand it fills.
+_FORMAT = {
+    RationalLit: lambda node: (format_rational(node.value), _PREC_NEG if node.value < 0 else _PREC_ATOM),
+    Root: lambda node: (f"root({node.index}, {format_rational(node.radicand)})" if node.index != 2
+                        else f"sqrt({format_rational(node.radicand)})", _PREC_ATOM),
+    PolyZero: lambda node: (
+        f"polyzero({', '.join(map(format_rational, node.coeffs))}; "
+        f"{format_rational(node.bracket_lo)}, {format_rational(node.bracket_hi)})", _PREC_ATOM),
+    Recip: lambda node, child: (
+        f"recip({child[0]}; {format_rational(node.witness_lo)}:{format_rational(node.witness_hi)})", _PREC_ATOM),
+    Neg: lambda _, child: (f"-{_wrap(child, _PREC_ATOM)}", _PREC_NEG),
+    Add: _infix("+", _PREC_ADD), Sub: _infix("-", _PREC_ADD), Mul: _infix("*", _PREC_MUL),
+}
+
+
 def format_expr(node: ExprAst, parent_prec: int = 0) -> str:
-    if isinstance(node, RationalLit):
-        text, prec = format_rational(node.value), _PREC_ATOM
-        if node.value < 0:
-            prec = _PREC_NEG
-    elif isinstance(node, Root):
-        if node.index == 2:
-            text = f"sqrt({format_rational(node.radicand)})"
-        else:
-            text = f"root({node.index}, {format_rational(node.radicand)})"
-        prec = _PREC_ATOM
-    elif isinstance(node, PolyZero):
-        coeffs = ", ".join(format_rational(c) for c in node.coeffs)
-        text = f"polyzero({coeffs}; {format_rational(node.bracket_lo)}, {format_rational(node.bracket_hi)})"
-        prec = _PREC_ATOM
-    elif isinstance(node, Recip):
-        text = (
-            f"recip({format_expr(node.child)}; "
-            f"{format_rational(node.witness_lo)}:{format_rational(node.witness_hi)})"
-        )
-        prec = _PREC_ATOM
-    elif isinstance(node, Neg):
-        text, prec = f"-{format_expr(node.child, _PREC_ATOM)}", _PREC_NEG
-    elif isinstance(node, Add):
-        text = f"{format_expr(node.left, _PREC_ADD)} + {format_expr(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(node, Sub):
-        text = f"{format_expr(node.left, _PREC_ADD)} - {format_expr(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(node, Mul):
-        text = f"{format_expr(node.left, _PREC_MUL)} * {format_expr(node.right, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
-    else:
-        raise TypeError(f"unknown node {node!r}")
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    return _wrap(_fold(node, _FORMAT), parent_prec)
 
 
 # -- evaluation ---------------------------------------------------------------
 
+_BUILD = {
+    RationalLit: lambda node: rational_oracle(node.value),
+    Root: lambda node: nth_root_oracle(node.index, node.radicand),
+    PolyZero: lambda node: ivt_oracle(polynomial_sign(node.coeffs), node.bracket_lo, node.bracket_hi),
+    Recip: lambda node, child: o_recip(child, interval_make(node.witness_lo, node.witness_hi)),
+    Neg: lambda _, child: o_neg(child),
+    Add: lambda _, *kids: o_add(*kids), Sub: lambda _, *kids: o_sub(*kids), Mul: lambda _, *kids: o_mul(*kids),
+}
+
+
 def build_oracle(node: ExprAst) -> Oracle:
-    if isinstance(node, RationalLit):
-        return rational_oracle(node.value)
-    if isinstance(node, Root):
-        return nth_root_oracle(node.index, node.radicand)
-    if isinstance(node, PolyZero):
-        return ivt_oracle(polynomial_sign(node.coeffs), node.bracket_lo, node.bracket_hi)
-    if isinstance(node, Neg):
-        return o_neg(build_oracle(node.child))
-    if isinstance(node, Add):
-        return o_add(build_oracle(node.left), build_oracle(node.right))
-    if isinstance(node, Sub):
-        return o_sub(build_oracle(node.left), build_oracle(node.right))
-    if isinstance(node, Mul):
-        return o_mul(build_oracle(node.left), build_oracle(node.right))
-    if isinstance(node, Recip):
-        witness = RInterval(min(node.witness_lo, node.witness_hi), max(node.witness_lo, node.witness_hi))
-        return o_recip(build_oracle(node.child), witness)
-    raise TypeError(f"unknown node {node!r}")
+    return _fold(node, _BUILD)
 
 
 # -- commands -----------------------------------------------------------------
@@ -481,14 +481,12 @@ def _cmd_eval(args, oracle: Oracle) -> int:
 
 
 def _cmd_cf(args, oracle: Oracle) -> int:
-    expansion = mediant_expand(oracle, args.terms, Budget(args.budget))
-    print(str(expansion))
+    print(mediant_expand(oracle, args.terms, Budget(args.budget)))
     return 0
 
 
 def _cmd_approx(args, oracle: Oracle) -> int:
-    best = best_approx(oracle, args.maxden, Budget(args.budget))
-    print(format_rational(best))
+    print(format_rational(best_approx(oracle, args.maxden, Budget(args.budget))))
     return 0
 
 
@@ -514,20 +512,27 @@ def _cmd_check(args, oracle: Oracle) -> int:
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "cf": _cmd_cf,
-    "approx": _cmd_approx,
-    "query": _cmd_query,
-    "check": _cmd_check,
-}
+_COMMANDS = {"eval": _cmd_eval, "cf": _cmd_cf, "approx": _cmd_approx, "query": _cmd_query, "check": _cmd_check}
+
+
+# "-h", "--", long options, and the negative numbers argparse takes as operands.
+_OPTION_OR_NUMBER = re.compile(r"-h|--|--[^\W\d][\w-]*(=.*)?|-\d+|-\d*\.\d+")
+
+
+def _operand(arg: str) -> str:
+    """Any other argument that starts with "-" argparse would read as an
+    unknown option; U+2212 in its place reads as a minus in expressions and
+    intervals, so ``eval -1/2`` needs no ``--``."""
+    if arg.startswith("-") and not _OPTION_OR_NUMBER.fullmatch(arg):
+        return "−" + arg[1:]
+    return arg
 
 
 def run_command(argv: Sequence[str]) -> int:
     """Run one CLI invocation; returns the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args([_operand(arg) for arg in argv])
     except _UsageError as usage:
         print(f"error: {usage}", file=sys.stderr)
         return 1

@@ -182,7 +182,7 @@ class Oracle:
     def _discover_root(self, value: Fraction) -> None:
         with self._lock:
             if self._root is None:
-                # _best first: _pull and the rooted fast paths read it once _root is set.
+                # _best first: a pass and _settle read it once _root is set.
                 self._best = _interval_raw(value, value)
                 self._root = value
 
@@ -335,9 +335,6 @@ class Oracle:
             verdict = _hint_verdict(hint, interval)
             if verdict is not None:
                 return verdict
-        root = self._root
-        if root is not None:
-            return QueryResult.YES if interval.contains(root) else QueryResult.NO
         answer = self._settle(_decide_verdict, interval, budget.steps)
         return QueryResult.EXHAUSTED if answer is None else answer
 
@@ -354,8 +351,6 @@ class Oracle:
             raise self._error
         if budget.steps <= 0:
             return None
-        if self._root is not None:
-            return self._best
         return self._settle(_narrow_verdict, width, budget.steps, target_bits(width))
 
     def locate(self, point: Fraction, budget: Budget) -> Placement:
@@ -375,8 +370,6 @@ class Oracle:
                 if placement is Placement.EQUAL:
                     self._discover_root(point)
                 return placement
-        if self._root is not None:
-            return _locate_verdict(self._best, point)
         answer = self._settle(_locate_verdict, point, budget.steps)
         return Placement.EXHAUSTED if answer is None else answer
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from realoracle import cli
 from realoracle.cli import (
     Add,
     Mul,
@@ -59,6 +60,41 @@ class TestParse:
     def test_division_by_literal_is_exact(self):
         assert parse_expr("3/4") == RationalLit(F(3, 4))
         assert parse_expr("sqrt(2)/2") == Mul(Root(2, F(2)), RationalLit(F(1, 2)))
+
+    def test_division_goes_left_to_right(self, capsys):
+        half, third = RationalLit(F(1, 2)), RationalLit(F(1, 3))
+        assert parse_expr("sqrt(2)/2/3") == Mul(Mul(Root(2, F(2)), half), third)
+        assert parse_expr("sqrt(2)/-2/3") == Mul(Mul(Root(2, F(2)), RationalLit(F(-1, 2))), third)
+        assert parse_expr("1/2/3/4") == RationalLit(F(1, 24))
+        assert parse_expr("sqrt(2) * 3/4") == Mul(Root(2, F(2)), RationalLit(F(3, 4)))
+        assert run_command(["eval", "sqrt(2)/2/2"]) == 0
+        assert capsys.readouterr().out == "0.3535533905 ± 1e-10\n"
+
+    def test_a_deep_constant_division_folds(self):
+        assert parse_expr("3" + "/2" * 5000) == RationalLit(F(3, 2**5000))
+        assert parse_expr("2" + " * 2" * 4999 + "/2" * 5000) == RationalLit(F(1))
+
+    def test_a_division_chain_walks_each_factor_once(self, monkeypatch):
+        visits = []
+
+        def counted(visit):
+            def count(node, *kids):
+                visits.append(node)
+                return visit(node, *kids)
+            return count
+
+        monkeypatch.setattr(cli, "_CONSTANT", {cls: counted(visit) for cls, visit in cli._CONSTANT.items()})
+        for n in (1000, 5000):
+            visits.clear()
+            parse_expr("sqrt(2)" + "/2" * n)
+            assert len(visits) <= 2 * n
+
+    def test_a_run_of_unary_minus(self):
+        node = parse_expr("-" * 2000 + "1")
+        for _ in range(2000):
+            assert type(node) is Neg
+            node = node.child
+        assert node == RationalLit(F(1))
 
     def test_division_by_compound_rejected_with_hint(self):
         with pytest.raises(ExprSemanticError) as err:
@@ -126,6 +162,22 @@ class TestRoundTrip:
         for _ in range(2000):
             ast = random_ast(rng, rng.randint(0, 4))
             assert parse_expr(format_expr(ast)) == ast
+
+    def test_a_5000_term_tree_prints_back_to_its_text(self):
+        # Dataclass == recurses, so the deep trees are compared as text.
+        rng = random.Random(7)
+        ast = random_ast(rng, 2)
+        operands = [Root(2, F(3)), Neg(Root(3, F(2))), Mul(RationalLit(F(2)), Root(2, F(5))), RationalLit(F(1, 7))]
+        for _ in range(4999):
+            ast = rng.choice([Add, Sub])(ast, rng.choice(operands))
+        text = format_expr(ast)
+        assert text.count(" + ") + text.count(" - ") >= 4999
+        assert format_expr(parse_expr(text)) == text
+
+    def test_an_unknown_node_is_named(self):
+        for walk in (format_expr, build_oracle):
+            with pytest.raises(TypeError, match="unknown node 'x'"):
+                walk(Add(RationalLit(F(1)), "x"))
 
 
 class TestCommands:
@@ -197,14 +249,9 @@ class TestCommands:
         assert run_command(["eval", "sqrt(²)"]) == 1
         assert capsys.readouterr().err.startswith("error: syntax error at position 5")
 
-    # At the default recursion limit: 400 nested parentheses overflow the
-    # parser, and a sum of 2000 terms overflows build_oracle, one frame per
-    # term. Pulls do not recurse, so a sum that builds evaluates.
-    @pytest.mark.parametrize(
-        "expr",
-        ["(" * 400 + "1" + ")" * 400, " + ".join(["sqrt(2)"] * 2000)],
-        ids=["parentheses", "sum"],
-    )
+    # At the default recursion limit 400 nested parentheses overflow the
+    # parser, which recurses on parentheses. Nothing else recurses.
+    @pytest.mark.parametrize("expr", ["(" * 400 + "1" + ")" * 400], ids=["parentheses"])
     def test_too_deep_an_expression_exits_one(self, expr, capsys):
         assert run_command(["eval", expr]) == 1
         captured = capsys.readouterr()
@@ -214,6 +261,51 @@ class TestCommands:
     def test_a_long_sum_evaluates(self, capsys):
         assert run_command(["eval", " + ".join(["sqrt(2)"] * 600)]) == 0
         assert capsys.readouterr().out == "848.5281374238 ± 1e-10\n"
+
+    def test_a_5000_term_sum_evaluates(self, capsys):
+        assert run_command(["eval", " + ".join(["sqrt(2)"] * 5000)]) == 0
+        assert capsys.readouterr().out == "7071.0678118654 ± 1e-10\n"
+
+    @pytest.mark.parametrize(
+        "expr,out",
+        [
+            ("sqrt(2)" + "/2" * 5000, "0.0000000000 ± 1e-10\n"),
+            ("sqrt(2) * (" + " + ".join(["1"] * 3000) + ") / 7", "606.0915267313 ± 1e-10\n"),
+            ("-" * 2000 + "1", "1.0000000000 ± 1e-10 (exact)\n"),
+        ],
+        ids=["division-chain", "long-factor", "minus-run"],
+    )
+    def test_a_deep_term_evaluates(self, expr, out, capsys):
+        assert run_command(["eval", expr]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (["eval", "-sqrt(2)"], "-1.4142135624 ± 1e-10\n"),
+            (["eval", "-1/2"], "-0.5000000000 ± 1e-10 (exact)\n"),
+            (["eval", "−1/2"], "-0.5000000000 ± 1e-10 (exact)\n"),
+            (["eval", "-2", "--digits", "2"], "-2.00 ± 1e-2 (exact)\n"),
+            (["eval", "--sqrt(4)", "--digits=2"], "2.00 ± 1e-2 (exact)\n"),
+            (["eval", "--", "-2/3"], "-0.6666666667 ± 1e-10\n"),
+            (["query", "sqrt(2)", "-2:3"], "Yes\n"),
+            (["query", "-sqrt(2)", "-2:-1"], "Yes\n"),
+        ],
+    )
+    def test_an_operand_may_start_with_minus(self, argv, out, capsys):
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out == out
+
+    def test_options_still_read_as_options(self, capsys):
+        assert run_command(["check", "sqrt(2)", "--seed", "-3", "--samples", "5"]) == 0
+        capsys.readouterr()
+        assert run_command(["eval", "2", "--digits", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        for argv in (["-h"], ["eval", "-h"]):
+            with pytest.raises(SystemExit) as done:
+                run_command(argv)
+            assert done.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: realoracle")
 
     def test_usage_error_exits_one(self, capsys):
         code = run_command(["eval"])
