@@ -20,13 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .intervals import RInterval, _interval_raw, _raw_fraction
+from .intervals import RInterval, _interval_raw, _q_le, _raw_fraction
 from .oracle import Budget, Oracle, QueryResult
 
 PROPERTY_NAMES = (
@@ -83,6 +82,19 @@ def replay(oracle: Oracle, counterexample: Counterexample) -> Tuple[QueryResult,
     )
 
 
+def _grid_index(grid: Sequence[Fraction], point: Fraction) -> int:
+    """``bisect_left(grid, point)``: the first index whose value is not below
+    ``point``, by ``_q_le``, without the type dispatch of ``Fraction.__lt__``."""
+    lo, hi = 0, len(grid)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _q_le(point, grid[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class _Sampler:
     """Seeded grid of rationals around the oracle's first refined interval.
 
@@ -117,13 +129,13 @@ class _Sampler:
             grid.append(_raw_fraction(num // g, den // g))
         for point in (base.lo, base.hi, oracle.root):
             if point is not None:
-                k = bisect_left(grid, point)
-                if k == len(grid) or grid[k] != point:
+                k = _grid_index(grid, point)
+                if k == len(grid) or not _q_le(grid[k], point):
                     grid.insert(k, point)
         self.grid: Sequence[Fraction] = grid
         self.count = len(self.grid)
-        self.base_lo_idx = bisect_left(self.grid, base.lo)
-        self.base_hi_idx = bisect_left(self.grid, base.hi)
+        self.base_lo_idx = _grid_index(grid, base.lo)
+        self.base_hi_idx = _grid_index(grid, base.hi)
         self.region = _interval_raw(self.grid[0], self.grid[-1])
 
     def iv(self, i: int, j: int) -> RInterval:

@@ -10,6 +10,19 @@ denominators are powers of two with many thousands of bits at deep budgets;
 the stock ``Fraction`` constructor would run a full gcd there, which is the
 dominant cost. Canonical form is preserved: only factors of two are ever
 cancelled, and dyadic numerators are reduced to odd-or-small first.
+
+Interval endpoints are always ``Fraction`` objects, so the interval code
+works on their integers. It allocates a result with ``object.__new__`` and
+fills ``Fraction``'s two slots, without running ``Fraction``'s constructor.
+Order tests between endpoints (``_le``), and sign and singleton tests, read
+the slots rather than the ``numerator`` and ``denominator`` properties.
+Products are integer products of the parts, through ``dyadic`` for dyadic
+endpoints and cross-cancelled as ``Fraction`` does otherwise, and a
+reciprocal swaps the parts; neither goes through ``Fraction``'s operator
+dispatch. A width is an unreduced integer pair (``_width_ratio``), from
+which ``oracle.precision`` reads the bits of an interval without building
+a width ``Fraction``. ``_q_le``, ``_q_add``, ``_q_sub`` and
+``RInterval.contains`` also take ints, so they read the public properties.
 """
 
 from __future__ import annotations
@@ -18,7 +31,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from math import gcd
+from typing import Optional, Tuple, Union
 
 from .errors import ZeroInDenominator
 
@@ -82,9 +96,10 @@ def int_text(n: int) -> str:
 
 def _raw_fraction(num: int, den: int) -> Fraction:
     # Caller guarantees canonical form: den > 0, gcd(|num|, den) == 1.
-    # Fills Fraction's private slots directly; tests/test_intervals.py pins
-    # that the result equals Fraction(num, den) on every supported Python.
-    f = Fraction.__new__(Fraction)
+    # Allocates without running Fraction's constructor and fills its private
+    # slots directly; tests/test_intervals.py pins that the result equals
+    # Fraction(num, den) on every supported Python.
+    f = object.__new__(Fraction)
     f._numerator = num
     f._denominator = den
     return f
@@ -102,7 +117,7 @@ def dyadic(num: int, shift: int) -> Fraction:
 
 
 def _q_neg(a: Fraction) -> Fraction:
-    return _raw_fraction(-a.numerator, a.denominator)
+    return _raw_fraction(-a._numerator, a._denominator)
 
 
 def _q_add(a: Fraction, b: Fraction) -> Fraction:
@@ -132,11 +147,44 @@ def _q_le(a: Fraction, b: Fraction) -> bool:
     return a.numerator * b.denominator <= b.numerator * a.denominator
 
 
+def _q_mul(a: Fraction, b: Fraction) -> Fraction:
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    if not (da & (da - 1) or db & (db - 1)):
+        return dyadic(na * nb, da.bit_length() + db.bit_length() - 2)
+    # Fraction's own product, cross-cancelled, without its operator dispatch.
+    g1, g2 = gcd(na, db), gcd(nb, da)
+    return _raw_fraction((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+def _q_recip(a: Fraction) -> Fraction:
+    # a != 0; swapping the parts keeps them coprime.
+    n, d = a._numerator, a._denominator
+    return _raw_fraction(d, n) if n > 0 else _raw_fraction(-d, -n)
+
+
+def _le(a: Fraction, b: Fraction) -> bool:
+    # _q_le for Fractions only: reads the slots, not the properties.
+    return a._numerator * b._denominator <= b._numerator * a._denominator
+
+
 def _q_half(a: Fraction) -> Fraction:
-    n, d = a.numerator, a.denominator
+    n, d = a._numerator, a._denominator
     if n & 1:
         return _raw_fraction(n, d << 1)
     return _raw_fraction(n >> 1, d)
+
+
+def _width_ratio(lo: Fraction, hi: Fraction) -> Tuple[int, int]:
+    """``hi - lo`` as an unreduced ``(num, den)`` pair; ``den`` is a power
+    of two when both endpoints are dyadic."""
+    a, b, c, d = lo._numerator, lo._denominator, hi._numerator, hi._denominator
+    if b == d:
+        return c - a, b
+    if b & (b - 1) or d & (d - 1):
+        return c * b - a * d, b * d
+    if b < d:
+        return c - (a << (d.bit_length() - b.bit_length())), d
+    return (c << (b.bit_length() - d.bit_length())) - a, b
 
 
 def _interval_raw(lo: Fraction, hi: Fraction) -> "RInterval":
@@ -197,21 +245,21 @@ class RInterval:
     def is_singleton(self) -> bool:
         # Endpoints are in lowest terms, so equal values have equal parts.
         lo, hi = self.lo, self.hi
-        return lo.numerator == hi.numerator and lo.denominator == hi.denominator
+        return lo._numerator == hi._numerator and lo._denominator == hi._denominator
 
     def contains(self, q: Fraction) -> bool:
         return _q_le(self.lo, q) and _q_le(q, self.hi)
 
     def encloses(self, other: "RInterval") -> bool:
-        return _q_le(self.lo, other.lo) and _q_le(other.hi, self.hi)
+        return _le(self.lo, other.lo) and _le(other.hi, self.hi)
 
     def intersects(self, other: "RInterval") -> bool:
-        return _q_le(other.lo, self.hi) and _q_le(self.lo, other.hi)
+        return _le(other.lo, self.hi) and _le(self.lo, other.hi)
 
     def intersection(self, other: "RInterval") -> Optional["RInterval"]:
-        lo = self.lo if _q_le(other.lo, self.lo) else other.lo
-        hi = self.hi if _q_le(self.hi, other.hi) else other.hi
-        if not _q_le(lo, hi):
+        lo = self.lo if _le(other.lo, self.lo) else other.lo
+        hi = self.hi if _le(self.hi, other.hi) else other.hi
+        if not _le(lo, hi):
             return None
         return _interval_raw(lo, hi)
 
@@ -246,26 +294,28 @@ class RInterval:
         # Moore's sign cases: two products, or four when both straddle zero.
         a, b = self.lo, self.hi
         c, d = other.lo, other.hi
-        if a.numerator >= 0:
-            return _interval_raw(a * c if c.numerator >= 0 else b * c, b * d if d.numerator >= 0 else a * d)
-        if b.numerator <= 0:
-            return _interval_raw(a * d if d.numerator >= 0 else b * d, b * c if c.numerator >= 0 else a * c)
-        if c.numerator >= 0:
-            return _interval_raw(a * d, b * d)
-        if d.numerator <= 0:
-            return _interval_raw(b * c, a * c)
-        lo, hi, p, q = a * d, a * c, b * c, b * d
-        return _interval_raw(p if _q_le(p, lo) else lo, q if _q_le(hi, q) else hi)
+        if a._numerator >= 0:
+            return _interval_raw(_q_mul(a if c._numerator >= 0 else b, c), _q_mul(b if d._numerator >= 0 else a, d))
+        if b._numerator <= 0:
+            return _interval_raw(_q_mul(a if d._numerator >= 0 else b, d), _q_mul(b if c._numerator >= 0 else a, c))
+        if c._numerator >= 0:
+            return _interval_raw(_q_mul(a, d), _q_mul(b, d))
+        if d._numerator <= 0:
+            return _interval_raw(_q_mul(b, c), _q_mul(a, c))
+        lo, hi, p, q = _q_mul(a, d), _q_mul(a, c), _q_mul(b, c), _q_mul(b, d)
+        return _interval_raw(p if _le(p, lo) else lo, q if _le(hi, q) else hi)
 
     def recip(self) -> "RInterval":
-        if self.lo <= 0 <= self.hi:
+        lo, hi = self.lo, self.hi
+        if lo._numerator <= 0 <= hi._numerator:
             raise ZeroInDenominator(f"cannot invert {self}: it contains 0")
-        return _interval_raw(1 / self.hi, 1 / self.lo)
+        return _interval_raw(_q_recip(hi), _q_recip(lo))
 
     def absolute(self) -> "RInterval":
-        if self.lo <= 0 <= self.hi:
-            return _interval_raw(_ZERO, max(-self.lo, self.hi))
-        if self.hi < 0:
+        lo, hi = self.lo, self.hi
+        if lo._numerator <= 0 <= hi._numerator:
+            return _interval_raw(_ZERO, hi if _le(_q_neg(lo), hi) else _q_neg(lo))
+        if hi._numerator < 0:
             return self.neg()
         return self
 

@@ -18,6 +18,12 @@ with an exact test of where the number lies relative to a rational point
 (roots, zero brackets, least upper bounds) answer from that one test, so
 such answers never consume budget. One budget step is one pull.
 
+``decide`` and ``locate`` ask in a fixed order: the cached enclosure
+first, then the exact hint, then pulls. The exact test is often a user's
+sign or upper-bound callback, so a callback runs only for a question the
+enclosure cannot settle. Both sources are sound for a consistent oracle,
+so the order changes no answer, only the cost.
+
 A pull may carry a precision target: make the width at most ``2**-bits``.
 Budgeted queries pull that way. A pull is one pass, without recursion.
 Top-down, a node splits its target into one target per operand, an oracle
@@ -56,7 +62,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidFonsi, OracleError
-from .intervals import RInterval, _interval_raw, _q_le, _raw_fraction, as_rational, format_rational
+from .intervals import RInterval, _interval_raw, _le, _q_neg, _raw_fraction, _width_ratio, as_rational, format_rational
 
 LocateHint = Callable[[Fraction], "Optional[Placement]"]
 
@@ -153,6 +159,8 @@ class Oracle:
     ):
         self._stream_factory = stream_factory
         self._iter: Optional[Iterator[RInterval]] = None
+        if root is not None:
+            root = as_rational(root)  # its singleton is read through the slots
         # Invariant: the cached enclosure is a singleton exactly when a root
         # is known, and then it is the root's singleton.
         self._best: Optional[RInterval] = None if root is None else _interval_raw(root, root)
@@ -291,26 +299,41 @@ class Oracle:
         return got, taken
 
     def _settle(
-        self, verdict: Callable[[RInterval, Any], Any], query: Any, steps: int, bits: Optional[int] = None
+        self,
+        verdict: Callable[[RInterval, Any], Any],
+        query: Any,
+        steps: int,
+        aim: Optional[Callable[[Any], int]] = None,
+        exact: Optional[Callable[[LocateHint, Any], Any]] = None,
     ) -> Any:
         """Pull until ``verdict(enclosure, query)`` gives an answer, spending
-        at most ``steps``; None if none came. The only loop that spends
-        budget, by one rule on leaves and nodes: aim at ``bits`` while the
-        enclosure misses it, else gallop ``gain`` bits past its precision,
-        ``gain`` starting at 8, doubling, and capped by the steps left. So a
-        question that needs d bits takes about log2(d) pulls. Raises the
-        stream's error once it has raised one."""
+        at most ``steps``; None if none came. The cached enclosure is asked
+        first. Only when it leaves the question open does ``exact(hint,
+        query)`` ask the leaf's exact hint, once and at no cost, and only
+        when that is open too does a pull follow. The only loop that spends
+        budget, by one rule on leaves and nodes: aim at ``bits = aim(query)``
+        (computed at the first pull) while the enclosure misses it, else
+        gallop ``gain`` bits past its precision, ``gain`` starting at 8,
+        doubling, and capped by the steps left. So a question that needs d
+        bits takes about log2(d) pulls. Raises the stream's error once it
+        has raised one."""
         if self._error is not None:
             raise self._error
-        known = self._best
-        gain = 8
+        known, bits, gain = self._best, None, 8
         while True:
             if known is not None:
                 answer = verdict(known, query)
                 if answer is not None:
                     return answer
+            if exact is not None and self._locate_hint is not None:
+                answer = exact(self._locate_hint, query)
+                if answer is not None:
+                    return answer
+                exact = None
             if steps <= 0:
                 return None
+            if aim is not None:
+                bits, aim = aim(query), None
             goal = bits
             if known is not None and (bits is None or precision(known) >= bits):
                 goal = precision(known) + min(gain, steps)
@@ -328,14 +351,11 @@ class Oracle:
     # -- queries
 
     def decide(self, interval: RInterval, budget: Budget) -> QueryResult:
-        if self._error is not None:
-            raise self._error
-        hint = self._locate_hint
-        if hint is not None:
-            verdict = _hint_verdict(hint, interval)
-            if verdict is not None:
-                return verdict
-        answer = self._settle(_decide_verdict, interval, budget.steps)
+        """Whether the number lies in ``interval``. The cached enclosure is
+        asked first, then the leaf's exact hint, at no cost, and only then
+        does the budget pay for pulls. So a callback runs only for a
+        question the enclosure cannot settle."""
+        answer = self._settle(_decide_verdict, interval, budget.steps, exact=_hint_verdict)
         return QueryResult.EXHAUSTED if answer is None else answer
 
     def refine(self, width: Fraction, budget: Budget) -> Optional[RInterval]:
@@ -344,33 +364,28 @@ class Oracle:
         Every call charges at least one step, so a zero budget always
         returns None. Its pulls aim straight at the width.
         """
-        if width <= 0:
+        width = as_rational(width)
+        if width.numerator <= 0:
             raise ValueError("requested width must be positive")
-        width = Fraction(width)
         if self._error is not None:
             raise self._error
         if budget.steps <= 0:
             return None
-        return self._settle(_narrow_verdict, width, budget.steps, target_bits(width))
+        return self._settle(_narrow_verdict, width, budget.steps, aim=target_bits)
 
     def locate(self, point: Fraction, budget: Budget) -> Placement:
         """Place the oracle's number relative to ``point``.
 
         GREATER means the number exceeds the point. EQUAL arises only when
-        the point is the root, via an exact hint or known root. A hint that
-        cannot place the point leaves the question to the stream.
+        the point is the root, via an exact hint or known root. As in
+        ``decide``, the cached enclosure is asked first, then the exact
+        hint, then the budget pays for pulls; a hint that cannot place the
+        point leaves the question to the stream.
         """
-        if self._error is not None:
-            raise self._error
         point = as_rational(point)
-        hint = self._locate_hint
-        if hint is not None:
-            placement = hint(point)
-            if placement is not None:
-                if placement is Placement.EQUAL:
-                    self._discover_root(point)
-                return placement
-        answer = self._settle(_locate_verdict, point, budget.steps)
+        answer = self._settle(_locate_verdict, point, budget.steps, exact=_hint_placement)
+        if answer is Placement.EQUAL and self._root is None:
+            self._discover_root(point)
         return Placement.EXHAUSTED if answer is None else answer
 
 
@@ -411,20 +426,24 @@ def target_bits(width: Fraction) -> int:
 
 
 def precision(interval: RInterval) -> float:
-    """The largest ``bits`` with width at most ``2**-bits``; inf for a point."""
-    width = interval.width
-    if not width:
+    """The largest ``bits`` with width at most ``2**-bits``; inf for a point.
+    Read from the endpoint integers, with no width ``Fraction``."""
+    num, den = _width_ratio(interval.lo, interval.hi)
+    if not num:
         return math.inf
-    return _log2_floor(width.denominator, width.numerator)
+    if den & (den - 1):
+        return _log2_floor(den, num)
+    return den.bit_length() - 1 - (num - 1).bit_length()
 
 
 def mag_bits(interval: RInterval) -> int:
     """The least ``e`` with every point of the interval at most ``2**e`` in
     magnitude (0 for the point 0)."""
-    mag = max(-interval.lo, interval.hi)
-    if not mag:
+    lo, hi = interval.lo, interval.hi
+    num, den = (hi._numerator, hi._denominator) if _le(_q_neg(lo), hi) else (-lo._numerator, lo._denominator)
+    if not num:
         return 0
-    return -_log2_floor(mag.denominator, mag.numerator)
+    return -_log2_floor(den, num)
 
 
 def clamp_to(region: RInterval) -> Callable[[RInterval], Optional[RInterval]]:
@@ -468,6 +487,10 @@ def _hint_verdict(hint: LocateHint, interval: RInterval) -> Optional[QueryResult
     return None if at_lo is None else QueryResult.YES
 
 
+def _hint_placement(hint: LocateHint, point: Fraction) -> Optional[Placement]:
+    return hint(point)
+
+
 def _decide_verdict(known: RInterval, interval: RInterval) -> Optional[QueryResult]:
     if interval.encloses(known):
         return QueryResult.YES
@@ -477,13 +500,14 @@ def _decide_verdict(known: RInterval, interval: RInterval) -> Optional[QueryResu
 
 
 def _narrow_verdict(known: RInterval, width: Fraction) -> Optional[RInterval]:
-    return known if _q_le(known.width, width) else None
+    num, den = _width_ratio(known.lo, known.hi)
+    return known if num * width._denominator <= width._numerator * den else None
 
 
 def _locate_verdict(known: RInterval, point: Fraction) -> Optional[Placement]:
-    if not _q_le(point, known.hi):
+    if not _le(point, known.hi):
         return Placement.LESS
-    if not _q_le(known.lo, point):
+    if not _le(known.lo, point):
         return Placement.GREATER
     if known.is_singleton:
         return Placement.EQUAL

@@ -215,7 +215,7 @@ def to_decimal(oracle: Oracle, digits: int, budget: Budget) -> DecimalEnclosure:
     if digits < 0:
         raise ValueError("digit count must be nonnegative")
     scale = 10 ** digits
-    got = oracle._settle(_last_place, scale, budget.steps, target_bits(Fraction(1, scale * 100)))
+    got = oracle._settle(_last_place, scale, budget.steps, aim=lambda scale: target_bits(Fraction(1, scale * 100)))
     if got is None:
         raise BudgetExhausted(
             f"enclosure of {oracle.label} does not fix the 1e-{digits} place "

@@ -11,8 +11,11 @@ from realoracle.intervals import (
     IntervalRelation,
     RInterval,
     _q_le,
+    _q_mul,
+    _q_recip,
     _q_sub,
     _raw_fraction,
+    _width_ratio,
     dyadic,
     format_interval,
     format_rational,
@@ -24,6 +27,7 @@ from realoracle.intervals import (
     parse_interval,
     parse_rational,
 )
+from realoracle.oracle import _narrow_verdict, mag_bits, precision
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
@@ -284,3 +288,94 @@ class TestOrderPrimitives:
         assert (_exact(got.lo), _exact(got.hi)) == (_exact(i.lo - j.hi), _exact(i.hi - j.lo))
         assert _exact(_q_sub(a, c)) == _exact(F(a) - c)
         assert _q_le(a, c) is (a <= c) and _q_le(c, a) is (c <= a)
+
+
+def _reference_precision(width):
+    """The largest b with width <= 2**-b, by Fraction comparisons alone."""
+    if width == 0:
+        return float("inf")
+    b = width.denominator.bit_length() - width.numerator.bit_length()
+    while width > F(2) ** -b:
+        b -= 1
+    while width <= F(2) ** -(b + 1):
+        b += 1
+    return b
+
+
+_BIG = dyadic(2**5000 + 1, 4999)
+
+
+class TestIntegerKernel:
+    """Precision, the dyadic product, the reciprocal and the narrow check
+    read endpoint integers; they agree with plain ``Fraction`` arithmetic,
+    and every value they build is a canonical ``Fraction``."""
+
+    @given(_pooled(2))
+    @example([F(1, 3), F(1, 3)])  # a singleton: infinite precision
+    @example([-3, 3])  # width 6: precision -3
+    @example([_BIG, _BIG + dyadic(1, 6000)])  # 6000 bits deep
+    @example([F(1, 3), _BIG])  # mixed dyadic and non-dyadic
+    @example([-_BIG, F(-1, 7)])
+    def test_precision_reads_the_width_from_endpoint_integers(self, points):
+        i = interval_make(*points)
+        width = i.hi - i.lo
+        assert precision(i) == _reference_precision(width)
+        num, den = _width_ratio(i.lo, i.hi)
+        assert F(num, den) == width
+        mag = max(-i.lo, i.hi)
+        assert mag_bits(i) == (-_reference_precision(mag) if mag else 0)
+
+    @given(_pooled(3), st.integers(min_value=-2, max_value=2))
+    @example([F(0), _BIG, 1], 0)
+    @example([F(1, 3), F(1, 3), 1], 0)
+    def test_narrow_check_agrees_with_the_width(self, points, nudge):
+        a, b, c = points
+        i = interval_make(a, b)
+        width = i.hi - i.lo
+        # Widths at, just around and away from the interval's own.
+        for w in (abs(F(c)), width, width + F(nudge, 3 * 2**6000), width + nudge):
+            if w > 0:
+                assert (_narrow_verdict(i, w) is i) is (width <= w), (i, w)
+                assert (_narrow_verdict(i, w) is None) is (width > w)
+
+    @given(_pooled(2))
+    @example([_BIG, -_BIG])
+    @example([_BIG, F(1, 3)])
+    @example([F(-5, 7), -3])
+    def test_products_are_canonical_fractions(self, points):
+        a, b = (F(p) for p in points)
+        _same_fraction(_q_mul(a, b), a * b)
+        got = interval_make(a, b).mul(interval_make(b, _BIG))
+        products = [x * y for x in (min(a, b), max(a, b)) for y in (min(b, _BIG), max(b, _BIG))]
+        _same_fraction(got.lo, min(products))
+        _same_fraction(got.hi, max(products))
+
+    @given(_pooled(2))
+    @example([_BIG, F(1, 3)])
+    @example([-_BIG, F(-1, 3)])
+    @example([F(0), F(1, 2)])
+    @example([F(-1, 2), 0])
+    def test_reciprocals_swap_the_parts(self, points):
+        i = interval_make(*points)
+        if i.lo <= 0 <= i.hi:
+            with pytest.raises(ZeroInDenominator):
+                i.recip()
+            return
+        got = i.recip()
+        _same_fraction(got.lo, 1 / i.hi)
+        _same_fraction(got.hi, 1 / i.lo)
+        _same_fraction(_q_recip(i.lo), 1 / i.lo)
+        absolute = i.absolute()
+        _same_fraction(absolute.lo, min(abs(i.lo), abs(i.hi)))
+        _same_fraction(absolute.hi, max(abs(i.lo), abs(i.hi)))
+
+    @given(_pooled(2))
+    @example([F(-1, 3), F(1, 2)])
+    @example([-_BIG, F(1, 3)])
+    @example([F(-1, 2), F(1, 2)])
+    def test_absolute_of_an_interval_around_zero(self, points):
+        i = interval_make(*points)
+        if i.lo <= 0 <= i.hi:
+            got = i.absolute()
+            _same_fraction(got.lo, F(0))
+            _same_fraction(got.hi, max(-i.lo, i.hi))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from realoracle.arithmetic import compare, o_add, o_neg
-from realoracle.constructors import nth_root_oracle, rational_oracle
+from realoracle.constructors import SignFunction, UpperBoundTest, ivt_oracle, lub_oracle, nth_root_oracle, rational_oracle
 from realoracle.errors import InvalidFonsi
 from realoracle.intervals import RInterval, interval_make
 from realoracle.oracle import (
@@ -96,6 +96,13 @@ class TestFonsi:
         o = oracle_from_fonsi(FonsiSource(enum(), claimed_root=F(2)))
         assert o.decide(RInterval(F(2), F(2)), Budget(0)) is QueryResult.YES
         assert is_rooted(o) == F(2)
+
+    def test_an_int_claimed_root_is_held_as_a_fraction(self):
+        # Queries read the root's singleton through Fraction's integer parts.
+        o = oracle_from_fonsi(FonsiSource(iter([]), claimed_root=2))
+        assert type(o.root) is F and o.root == 2
+        assert o.refine(F(1, 8), Budget(1)) == RInterval(F(2), F(2))
+        assert o.locate(F(2), Budget(0)) is Placement.EQUAL
 
     def test_first_pull_settles_wide_query(self):
         def enum():
@@ -287,3 +294,107 @@ class TestStickyErrorsOverCachedAnswers:
             o.enclosure
         with pytest.raises(InvalidFonsi):
             compare(o, rational_oracle(5), Budget(5))
+
+
+
+class RuleBroke(Exception):
+    pass
+
+
+def counted(calls, fail_deeper):
+    """Log a callback's argument; raise at one whose denominator exceeds
+    ``2**fail_deeper``."""
+    def log(t):
+        if fail_deeper is not None and t.denominator > 2**fail_deeper:
+            raise RuleBroke(t)
+        calls.append(t)
+    return log
+
+
+def counted_zero(fail_deeper=None):
+    """sqrt(2) as the zero of an opaque sign rule, with a log of its calls."""
+    calls = []
+    log = counted(calls, fail_deeper)
+
+    def sign(t):
+        log(t)
+        return (t * t > 2) - (t * t < 2)
+
+    return ivt_oracle(SignFunction(sign), 0, 2), calls
+
+
+def counted_lub(fail_deeper=None):
+    """sqrt(2) as a least upper bound, with a log of its upper-bound tests."""
+    calls = []
+    log = counted(calls, fail_deeper)
+
+    def is_ub(u):
+        log(u)
+        return u >= 0 and u * u >= 2
+
+    return lub_oracle(UpperBoundTest(is_ub, F(0), F(2))), calls
+
+
+def inner_point_below(enclosure):
+    """A point strictly inside ``enclosure`` and below sqrt(2)."""
+    p = enclosure.midpoint()
+    while p * p > 2:
+        p = (enclosure.lo + p) / 2
+    return p
+
+
+@pytest.mark.parametrize("build", [counted_zero, counted_lub], ids=["zero", "lub"])
+class TestCacheFirst:
+    """decide and locate ask the cached enclosure first, the exact hint (a
+    user callback) only for a question the enclosure leaves open, and pull
+    only after that."""
+
+    def refined(self, build):
+        oracle, calls = build()
+        known = oracle.refine(F(1, 2**60), Budget(200))
+        assert known is not None and known.width <= F(1, 2**60)
+        calls.clear()
+        return oracle, calls, known
+
+    def test_questions_the_enclosure_settles_make_no_callback(self, build):
+        oracle, calls, known = self.refined(build)
+        assert oracle.decide(interval_make(1, 2), AMPLE) is QueryResult.YES
+        assert oracle.decide(interval_make(F(3, 2), 2), AMPLE) is QueryResult.NO
+        assert oracle.decide(interval_make(1, F(7, 5)), Budget(0)) is QueryResult.NO
+        assert oracle.decide(known, Budget(0)) is QueryResult.YES
+        assert oracle.locate(F(7, 5), AMPLE) is Placement.GREATER
+        assert oracle.locate(F(3, 2), Budget(0)) is Placement.LESS
+        assert calls == []
+        assert oracle.enclosure is known
+
+    def test_a_question_inside_the_enclosure_reaches_the_hint(self, build):
+        oracle, calls, known = self.refined(build)
+        p = inner_point_below(known)
+        assert oracle.decide(interval_make(p, 2), Budget(0)) is QueryResult.YES
+        assert p in calls
+        calls.clear()
+        assert oracle.locate(p, Budget(0)) is Placement.GREATER
+        assert calls == [p]
+        # The hint answered: no pull, so the enclosure is the one refine left.
+        assert oracle.enclosure is known
+
+    def test_a_fresh_leaf_answers_from_the_hint_at_no_budget(self, build):
+        oracle, calls = build()
+        calls.clear()
+        assert oracle.decide(interval_make(1, 2), Budget(0)) is QueryResult.YES
+        assert oracle.locate(F(1), Budget(0)) is Placement.GREATER
+        assert calls
+        assert oracle.enclosure is None
+
+    def test_an_error_is_raised_before_the_hint(self, build):
+        # The rule breaks during a pull: every later query raises that error
+        # and asks the hint nothing, though the hint could answer it.
+        oracle, calls = build(fail_deeper=20)
+        with pytest.raises(RuleBroke):
+            oracle.refine(F(1, 2**60), Budget(200))
+        calls.clear()
+        with pytest.raises(RuleBroke):
+            oracle.decide(interval_make(1, 2), Budget(0))
+        with pytest.raises(RuleBroke):
+            oracle.locate(F(1), Budget(0))
+        assert calls == []

@@ -420,10 +420,24 @@ def test_a_chain_deeper_than_the_recursion_limit_refines():
 
 
 class TestWidthTypes:
-    @pytest.mark.parametrize("width", [0.001, Decimal("0.001"), F(1, 1000), 2], ids=lambda w: type(w).__name__)
+    @pytest.mark.parametrize("width", [F(1, 1000), 2, "1/1000"], ids=lambda w: type(w).__name__)
     def test_any_rational_width(self, width):
         got = nth_root_oracle(2, 2).refine(width, Budget(50))
         assert got.width <= F(width) and got.contains(F(141421, 10**5))
+
+    @pytest.mark.parametrize("width", [0.1, Decimal("0.001")], ids=lambda w: type(w).__name__)
+    def test_inexact_widths_are_rejected(self, width):
+        # As at every other entry point: no binary rounding slips in.
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            nth_root_oracle(2, 2).refine(width, Budget(100))
+
+    def test_a_text_width_refines_as_its_fraction(self):
+        assert nth_root_oracle(2, 2).refine("1/8", Budget(100)) == nth_root_oracle(2, 2).refine(F(1, 8), Budget(100))
+
+    @pytest.mark.parametrize("width", [0, F(0), -1, F(-1, 8), "-1/8"])
+    def test_a_width_of_zero_or_less_is_refused(self, width):
+        with pytest.raises(ValueError, match="must be positive"):
+            nth_root_oracle(2, 2).refine(width, Budget(100))
 
 
 def run_threads(work, count=6):
