@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .constructors import rational_oracle
 from .errors import ZeroWitnessInvalid
-from .intervals import RInterval, _q_le
-from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, mag_bits, node_oracle
+from .intervals import RInterval, _le, mag_bits
+from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
 
 _WITNESS_CHECK_BUDGET = Budget(64)
 _ZERO = Fraction(0)
@@ -134,8 +134,8 @@ def compare(x: Oracle, y: Oracle, budget: Budget) -> CompareResult:
     """
     kx, ky = x.enclosure, y.enclosure
     if kx is not None and ky is not None:
-        if not _q_le(ky.lo, kx.hi):
+        if not _le(ky.lo, kx.hi):
             return CompareResult.LESS
-        if not _q_le(kx.lo, ky.hi):
+        if not _le(kx.lo, ky.hi):
             return CompareResult.GREATER
     return _ORDER[o_sub(x, y).locate(_ZERO, budget)]

@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .intervals import RInterval, _interval_raw, _q_le, _raw_fraction
+from .intervals import RInterval, _interval_raw, _le, _raw_fraction
 from .oracle import Budget, Oracle, QueryResult
 
 PROPERTY_NAMES = (
@@ -84,11 +84,11 @@ def replay(oracle: Oracle, counterexample: Counterexample) -> Tuple[QueryResult,
 
 def _grid_index(grid: Sequence[Fraction], point: Fraction) -> int:
     """``bisect_left(grid, point)``: the first index whose value is not below
-    ``point``, by ``_q_le``, without the type dispatch of ``Fraction.__lt__``."""
+    ``point``, by ``_le``, without the type dispatch of ``Fraction.__lt__``."""
     lo, hi = 0, len(grid)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _q_le(point, grid[mid]):
+        if _le(point, grid[mid]):
             hi = mid
         else:
             lo = mid + 1
@@ -130,7 +130,7 @@ class _Sampler:
         for point in (base.lo, base.hi, oracle.root):
             if point is not None:
                 k = _grid_index(grid, point)
-                if k == len(grid) or not _q_le(grid[k], point):
+                if k == len(grid) or not _le(grid[k], point):
                     grid.insert(k, point)
         self.grid: Sequence[Fraction] = grid
         self.count = len(self.grid)

@@ -17,14 +17,15 @@ from .errors import InvalidBounds, InvalidBracket, UnsupportedDomain
 from .intervals import (
     RInterval,
     _interval_raw,
-    _q_le,
+    _le,
+    _log2_floor,
     _raw_fraction,
     RationalLike,
     as_rational,
     dyadic,
     format_rational,
 )
-from .oracle import LocateHint, Oracle, Placement, _log2_floor, _meet, _stern_brocot
+from .oracle import LocateHint, Oracle, Placement, _meet, _stern_brocot
 
 # Stern-Brocot mediants probed, after the floor of the bracket, when hunting
 # a rational root of a zero of an opaque sign. Enough for shallow roots like
@@ -371,7 +372,7 @@ def _rational_zero(lo: Fraction, hi: Fraction, place: LocateHint, squarefree: Se
     if cell.is_singleton:
         return cell.lo
     candidate = Fraction(cell.lo.numerator * a // cell.lo.denominator + 1, a)
-    if _q_le(cell.hi, candidate) or place(candidate) is not Placement.EQUAL:
+    if _le(cell.hi, candidate) or place(candidate) is not Placement.EQUAL:
         return None
     return candidate
 
@@ -416,9 +417,9 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
         return Placement.GREATER if s == sign_lo else Placement.LESS
 
     def hint(point: Fraction) -> Placement:
-        if not _q_le(lo, point):
+        if not _le(lo, point):
             return Placement.GREATER
-        if not _q_le(point, hi):
+        if not _le(point, hi):
             return Placement.LESS
         return place(point)
 

@@ -16,8 +16,8 @@ from typing import Callable, List, Optional, Tuple
 
 from .constructors import rational_oracle
 from .errors import DomainEscape, OracleError, ZeroInDenominator
-from .intervals import RInterval, as_rational, format_rational
-from .oracle import Budget, Oracle, QueryResult, clamp_to, node_oracle, target_bits
+from .intervals import RInterval, as_rational, format_rational, target_bits
+from .oracle import Budget, Oracle, QueryResult, clamp_to, node_oracle
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,18 @@ the stock ``Fraction`` constructor would run a full gcd there, which is the
 dominant cost. Canonical form is preserved: only factors of two are ever
 cancelled, and dyadic numerators are reduced to odd-or-small first.
 
-Interval endpoints are always ``Fraction`` objects, so the interval code
-works on their integers. It allocates a result with ``object.__new__`` and
-fills ``Fraction``'s two slots, without running ``Fraction``'s constructor.
-Order tests between endpoints (``_le``), and sign and singleton tests, read
-the slots rather than the ``numerator`` and ``denominator`` properties.
-Products are integer products of the parts, through ``dyadic`` for dyadic
-endpoints and cross-cancelled as ``Fraction`` does otherwise, and a
-reciprocal swaps the parts; neither goes through ``Fraction``'s operator
-dispatch. A width is an unreduced integer pair (``_width_ratio``), from
-which ``oracle.precision`` reads the bits of an interval without building
-a width ``Fraction``. ``_q_le``, ``_q_add``, ``_q_sub`` and
-``RInterval.contains`` also take ints, so they read the public properties.
+Interval endpoints are always ``Fraction`` objects, and only this module
+knows their layout: every private endpoint primitive takes ``Fraction``
+objects and reads their two slots, not the ``numerator`` and
+``denominator`` properties, and builds a result with ``object.__new__``,
+without running ``Fraction``'s constructor. ``_le`` is the one order test.
+Dyadic sums and products are integer sums and products of the parts,
+through ``dyadic``; a non-dyadic sum is ``Fraction``'s own, and a
+non-dyadic product is cross-cancelled as ``Fraction`` does. A reciprocal
+swaps the parts. A width is an unreduced integer pair (``_width_ratio``),
+from which ``precision`` and the narrow check read an interval's bits
+without a width ``Fraction``. Public entries such as ``RInterval.contains``
+coerce other rationals with ``as_rational`` first.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Optional, Tuple, Union
 
 from .errors import ZeroInDenominator
@@ -121,30 +121,17 @@ def _q_neg(a: Fraction) -> Fraction:
 
 
 def _q_add(a: Fraction, b: Fraction) -> Fraction:
-    got = _dyadic_sum(a, b.numerator, b.denominator)
-    return a + b if got is None else got
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    if da & (da - 1) or db & (db - 1):
+        return a + b
+    ka, kb = da.bit_length() - 1, db.bit_length() - 1
+    if ka >= kb:
+        return dyadic((nb << (ka - kb)) + na, ka)
+    return dyadic((na << (kb - ka)) + nb, kb)
 
 
 def _q_sub(a: Fraction, b: Fraction) -> Fraction:
-    got = _dyadic_sum(a, -b.numerator, b.denominator)
-    return a - b if got is None else got
-
-
-def _dyadic_sum(a: Fraction, num: int, db: int) -> Optional[Fraction]:
-    # a + num/db when both denominators are powers of two, else None.
-    da = a.denominator
-    if da & (da - 1) or db & (db - 1):
-        return None
-    ka, kb = da.bit_length() - 1, db.bit_length() - 1
-    if ka >= kb:
-        return dyadic((num << (ka - kb)) + a.numerator, ka)
-    return dyadic((a.numerator << (kb - ka)) + num, kb)
-
-
-def _q_le(a: Fraction, b: Fraction) -> bool:
-    """``a <= b`` for Fractions or ints by one cross-multiplication, without
-    the type dispatch of ``Fraction``'s comparison operators."""
-    return a.numerator * b.denominator <= b.numerator * a.denominator
+    return _q_add(a, _q_neg(b))
 
 
 def _q_mul(a: Fraction, b: Fraction) -> Fraction:
@@ -163,7 +150,7 @@ def _q_recip(a: Fraction) -> Fraction:
 
 
 def _le(a: Fraction, b: Fraction) -> bool:
-    # _q_le for Fractions only: reads the slots, not the properties.
+    # a <= b by one cross-multiplication, without Fraction's operator dispatch.
     return a._numerator * b._denominator <= b._numerator * a._denominator
 
 
@@ -185,6 +172,44 @@ def _width_ratio(lo: Fraction, hi: Fraction) -> Tuple[int, int]:
     if b < d:
         return c - (a << (d.bit_length() - b.bit_length())), d
     return (c << (b.bit_length() - d.bit_length())) - a, b
+
+
+def _log2_floor(num: int, den: int) -> int:
+    """floor(log2(num / den)) for positive integers, with no big shifts."""
+    e = num.bit_length() - den.bit_length()
+    at_least = num >> e >= den if e >= 0 else num >= -(-den >> -e)
+    return e if at_least else e - 1
+
+
+def target_bits(width: Fraction) -> int:
+    """The least ``bits`` with ``2**-bits`` at most the positive ``width``."""
+    return -_log2_floor(width.numerator, width.denominator)
+
+
+def precision(interval: RInterval) -> float:
+    """The largest ``bits`` with width at most ``2**-bits``; inf for a point.
+    Read from the endpoint integers, with no width ``Fraction``."""
+    num, den = _width_ratio(interval.lo, interval.hi)
+    if not num:
+        return inf
+    if den & (den - 1):
+        return _log2_floor(den, num)
+    return den.bit_length() - 1 - (num - 1).bit_length()
+
+
+def mag_bits(interval: RInterval) -> int:
+    """The least ``e`` with every point of the interval at most ``2**e`` in
+    magnitude (0 for the point 0)."""
+    lo, hi = interval.lo, interval.hi
+    num, den = (hi._numerator, hi._denominator) if _le(_q_neg(lo), hi) else (-lo._numerator, lo._denominator)
+    if not num:
+        return 0
+    return -_log2_floor(den, num)
+
+
+def _narrow_verdict(known: RInterval, width: Fraction) -> Optional[RInterval]:
+    num, den = _width_ratio(known.lo, known.hi)
+    return known if num * width._denominator <= width._numerator * den else None
 
 
 def _interval_raw(lo: Fraction, hi: Fraction) -> "RInterval":
@@ -225,14 +250,10 @@ class RInterval:
     hi: Fraction
 
     def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        if not isinstance(lo, Fraction):
-            object.__setattr__(self, "lo", as_rational(lo))
-            lo = self.lo
-        if not isinstance(hi, Fraction):
-            object.__setattr__(self, "hi", as_rational(hi))
-            hi = self.hi
-        if lo > hi:
+        lo, hi = as_rational(self.lo), as_rational(self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if not _le(lo, hi):
             raise ValueError(f"misordered interval endpoints: {lo} > {hi}")
 
     # -- structure
@@ -247,8 +268,9 @@ class RInterval:
         lo, hi = self.lo, self.hi
         return lo._numerator == hi._numerator and lo._denominator == hi._denominator
 
-    def contains(self, q: Fraction) -> bool:
-        return _q_le(self.lo, q) and _q_le(q, self.hi)
+    def contains(self, q: RationalLike) -> bool:
+        q = as_rational(q)
+        return _le(self.lo, q) and _le(q, self.hi)
 
     def encloses(self, other: "RInterval") -> bool:
         return _le(self.lo, other.lo) and _le(other.hi, self.hi)
@@ -326,13 +348,11 @@ class RInterval:
 def interval_make(x: RationalLike, y: RationalLike) -> RInterval:
     """Build the interval on two endpoints given in either order."""
     a, b = as_rational(x), as_rational(y)
-    if a > b:
-        a, b = b, a
-    return RInterval(a, b)
+    return _interval_raw(a, b) if _le(a, b) else _interval_raw(b, a)
 
 
 def interval_contains(interval: RInterval, q: RationalLike) -> bool:
-    return interval.contains(as_rational(q))
+    return interval.contains(q)
 
 
 def interval_relate(a: RInterval, b: RInterval) -> IntervalRelation:

@@ -52,7 +52,6 @@ answers.
 
 from __future__ import annotations
 
-import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -62,7 +61,18 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidFonsi, OracleError
-from .intervals import RInterval, _interval_raw, _le, _q_neg, _raw_fraction, _width_ratio, as_rational, format_rational
+from .intervals import (
+    RInterval,
+    _interval_raw,
+    _le,
+    _narrow_verdict,
+    _raw_fraction,
+    as_rational,
+    format_rational,
+    mag_bits,
+    precision,
+    target_bits,
+)
 
 LocateHint = Callable[[Fraction], "Optional[Placement]"]
 
@@ -413,39 +423,6 @@ def node_oracle(
     return node
 
 
-def _log2_floor(num: int, den: int) -> int:
-    """floor(log2(num / den)) for positive integers, with no big shifts."""
-    e = num.bit_length() - den.bit_length()
-    at_least = num >> e >= den if e >= 0 else num >= -(-den >> -e)
-    return e if at_least else e - 1
-
-
-def target_bits(width: Fraction) -> int:
-    """The least ``bits`` with ``2**-bits`` at most the positive ``width``."""
-    return -_log2_floor(width.numerator, width.denominator)
-
-
-def precision(interval: RInterval) -> float:
-    """The largest ``bits`` with width at most ``2**-bits``; inf for a point.
-    Read from the endpoint integers, with no width ``Fraction``."""
-    num, den = _width_ratio(interval.lo, interval.hi)
-    if not num:
-        return math.inf
-    if den & (den - 1):
-        return _log2_floor(den, num)
-    return den.bit_length() - 1 - (num - 1).bit_length()
-
-
-def mag_bits(interval: RInterval) -> int:
-    """The least ``e`` with every point of the interval at most ``2**e`` in
-    magnitude (0 for the point 0)."""
-    lo, hi = interval.lo, interval.hi
-    num, den = (hi._numerator, hi._denominator) if _le(_q_neg(lo), hi) else (-lo._numerator, lo._denominator)
-    if not num:
-        return 0
-    return -_log2_floor(den, num)
-
-
 def clamp_to(region: RInterval) -> Callable[[RInterval], Optional[RInterval]]:
     """Cuts one operand's nested enclosures down to a region it is claimed
     to lie in; a cut is None once the two are disjoint.
@@ -497,11 +474,6 @@ def _decide_verdict(known: RInterval, interval: RInterval) -> Optional[QueryResu
     if not known.intersects(interval):
         return QueryResult.NO
     return None
-
-
-def _narrow_verdict(known: RInterval, width: Fraction) -> Optional[RInterval]:
-    num, den = _width_ratio(known.lo, known.hi)
-    return known if num * width._denominator <= width._numerator * den else None
 
 
 def _locate_verdict(known: RInterval, point: Fraction) -> Optional[Placement]:

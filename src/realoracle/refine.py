@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import BudgetExhausted, OracleError
-from .intervals import RInterval, int_text
-from .oracle import Budget, Oracle, Placement, QueryResult, _stern_brocot, target_bits
+from .intervals import RInterval, int_text, target_bits
+from .oracle import Budget, Oracle, Placement, QueryResult, _stern_brocot
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from realoracle.intervals import (
     ArithOp,
     IntervalRelation,
     RInterval,
-    _q_le,
+    _le,
+    _q_add,
     _q_mul,
     _q_recip,
     _q_sub,
@@ -50,6 +51,13 @@ class TestMake:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             interval_make(0.5, 1)
+
+    def test_contains_coerces_its_point_as_interval_contains_does(self):
+        i = interval_make(0, 1)
+        for contains in (i.contains, lambda q: interval_contains(i, q)):
+            with pytest.raises(TypeError):
+                contains(0.5)
+            assert contains("1/2") and contains(1) and not contains("3/2")
 
 
 class TestContains:
@@ -235,9 +243,12 @@ def _exact(q):
     return (q.numerator, q.denominator)
 
 
+_BIG = dyadic(2**5000 + 1, 4999)
+
+
 class TestOrderPrimitives:
-    """Interval order tests and dyadic subtraction agree with the operators
-    of ``Fraction`` (and ``int``) on every kind of endpoint."""
+    """Interval order tests, sums and differences agree with the operators
+    of ``Fraction`` on every kind of endpoint; ``contains`` also takes ints."""
 
     @given(_pooled(5))
     @example([F(1, 3), F(1, 2), F(-1, 2), F(-1, 3), 0])
@@ -280,14 +291,23 @@ class TestOrderPrimitives:
         assert len(cases) == 6 * 6  # sign pairs per operand: --, -0, -+, 00, 0+, ++
 
     @given(_pooled(4))
+    @example([_BIG, F(1, 3), -_BIG, F(-1, 3)])
+    @example([F(1, 3), F(1, 6), F(2, 3), F(-1, 3)])  # non-dyadic sums that cancel
     def test_sub_agrees_with_fraction_subtraction(self, points):
-        a, b, c, d = points
+        a, b, c, d = (F(p) for p in points)
         i, j = interval_make(a, b), interval_make(c, d)
+        # Canonical endpoints: equal numerators, denominators and hashes.
         got = i.sub(j)
-        # Canonical endpoints: equal numerators and denominators, not just values.
-        assert (_exact(got.lo), _exact(got.hi)) == (_exact(i.lo - j.hi), _exact(i.hi - j.lo))
-        assert _exact(_q_sub(a, c)) == _exact(F(a) - c)
-        assert _q_le(a, c) is (a <= c) and _q_le(c, a) is (c <= a)
+        _same_fraction(got.lo, i.lo - j.hi)
+        _same_fraction(got.hi, i.hi - j.lo)
+        got = i.add(j)
+        _same_fraction(got.lo, i.lo + j.lo)
+        _same_fraction(got.hi, i.hi + j.hi)
+        _same_fraction(i.midpoint(), (i.lo + i.hi) / 2)
+        _same_fraction(i.width, i.hi - i.lo)
+        _same_fraction(_q_add(a, c), a + c)
+        _same_fraction(_q_sub(a, c), a - c)
+        assert _le(a, c) is (a <= c) and _le(c, a) is (c <= a)
 
 
 def _reference_precision(width):
@@ -300,9 +320,6 @@ def _reference_precision(width):
     while width <= F(2) ** -(b + 1):
         b += 1
     return b
-
-
-_BIG = dyadic(2**5000 + 1, 4999)
 
 
 class TestIntegerKernel:

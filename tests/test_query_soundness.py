@@ -1,5 +1,7 @@
 """Seeded differential: budgeted decide, locate and compare on derived nodes
-and on leaves without an exact answer, against a deeply refined twin.
+(over root and rational leaves, and over zeros of polynomial signs on
+non-dyadic brackets) and on leaves without an exact answer, against a
+deeply refined twin.
 
 Each tree is built twice from the same seed. The twin is refined to width
 2**-400, and every definitive answer of the other tree, at every budget,
@@ -21,6 +23,7 @@ from realoracle.constructors import (
     ivt_oracle,
     lub_oracle,
     nth_root_oracle,
+    polynomial_sign,
     rational_oracle,
 )
 from realoracle.intervals import RInterval, dyadic
@@ -37,15 +40,36 @@ def random_leaf(rng: random.Random):
     return nth_root_oracle(rng.choice((2, 2, 3)), q)
 
 
-def random_operand(rng: random.Random, depth: int):
-    return random_leaf(rng) if depth == 0 or rng.random() < 0.2 else random_tree(rng, depth)
+def random_polyzero(rng: random.Random):
+    """The zero of a polynomial sign on a bracket whose ends are mostly
+    non-dyadic, so its bisection cells are too: a root of ``x**n - q``, or
+    the rational zero ``r`` of ``(x - r) * (x**2 + 1)``, which is rooted."""
+    m = rng.choice((3, 5, 7, 9))
+    q = F(rng.randint(1, 40), rng.randint(1, 6))
+    if rng.random() < 0.3:
+        r = q * rng.choice((1, -1))
+        return ivt_oracle(polynomial_sign((-r, 1, -r, 1)), r - F(rng.randint(1, 9), m), r + F(rng.randint(1, 9), m))
+    n = rng.choice((2, 3))
+    a = 0
+    while F(a + 1, m) ** n <= q:
+        a += 1
+    return ivt_oracle(polynomial_sign((-q,) + (0,) * (n - 1) + (1,)), F(a, m), F(a + rng.randint(1, 4), m))
 
 
-def random_tree(rng: random.Random, depth: int):
-    """A tree of depth at most ``depth`` over root and rational leaves, with
-    an operator on top (which folds away when every leaf is rational)."""
+def random_leaf_or_polyzero(rng: random.Random):
+    return random_polyzero(rng) if rng.random() < 0.5 else random_leaf(rng)
+
+
+def random_operand(rng: random.Random, depth: int, leaf=random_leaf):
+    return leaf(rng) if depth == 0 or rng.random() < 0.2 else random_tree(rng, depth, leaf)
+
+
+def random_tree(rng: random.Random, depth: int, leaf=random_leaf):
+    """A tree of depth at most ``depth`` over ``leaf`` draws (root and
+    rational leaves by default), with an operator on top (which folds away
+    when every leaf is rational)."""
     kind = rng.choice(("add", "sub", "mul", "mul", "neg", "abs", "recip"))
-    x = random_operand(rng, depth - 1)
+    x = random_operand(rng, depth - 1, leaf)
     if kind == "neg":
         return o_neg(x)
     if kind == "abs":
@@ -59,7 +83,7 @@ def random_tree(rng: random.Random, depth: int):
         if got.hi < 0:
             return o_recip(x, RInterval(got.lo * 2, got.hi / 2))
         return o_neg(x)
-    y = x if rng.random() < 0.2 else random_operand(rng, depth - 1)
+    y = x if rng.random() < 0.2 else random_operand(rng, depth - 1, leaf)
     return {"add": o_add, "sub": o_sub, "mul": o_mul}[kind](x, y)
 
 
@@ -94,13 +118,15 @@ def answer_fits(got: QueryResult, deep: RInterval, interval: RInterval) -> bool:
     return not interval.encloses(deep)
 
 
-def test_budgeted_answers_agree_with_a_deep_twin():
+def check_trees(seeds, leaf=random_leaf) -> int:
+    """Ask each tree every question at every budget against its deep twin;
+    the count of definitive answers."""
     checked = 0
-    for seed in range(600):
+    for seed in seeds:
         depth = 1 + seed % 3
-        deep = random_tree(random.Random(seed), depth).refine(DEEP, Budget(10**4))
+        deep = random_tree(random.Random(seed), depth, leaf).refine(DEEP, Budget(10**4))
         assert deep is not None
-        tree = random_tree(random.Random(seed), depth)
+        tree = random_tree(random.Random(seed), depth, leaf)
         points, intervals = questions(random.Random(10**6 + seed), deep)
         for steps in BUDGETS:
             for point in points:
@@ -113,8 +139,17 @@ def test_budgeted_answers_agree_with_a_deep_twin():
                 if got is not QueryResult.EXHAUSTED:
                     assert answer_fits(got, deep, interval), (seed, tree.label, interval, steps)
                     checked += 1
+    return checked
+
+
+def test_budgeted_answers_agree_with_a_deep_twin():
     # Most questions sit far enough from the number to settle.
-    assert checked > 10000
+    assert check_trees(range(600)) > 10000
+
+
+def test_budgeted_answers_over_polyzero_leaves_agree_with_a_deep_twin():
+    # New seeds, so that the trees above stay as they are.
+    assert check_trees(range(600, 800), random_leaf_or_polyzero) > 3000
 
 
 def partners(seed: int, x, deep: RInterval):

@@ -17,17 +17,27 @@ from realoracle.refine import to_decimal
 PACKAGE = Path(realoracle.__file__).parent
 
 
+def offenders(owner, pattern):
+    """``file:line`` of each line outside ``owner`` that matches ``pattern``."""
+    return [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != owner
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+
+
 def test_only_oracle_module_touches_the_stream_state():
     # Every budgeted pull goes through Oracle; other modules use its
     # queries, refiner() and enclosure instead of the private state.
-    offenders = [
-        f"{path.name}:{number}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "oracle.py"
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"\._(pull|best)\b", line)
-    ]
-    assert offenders == []
+    assert offenders("oracle.py", r"\._(pull|best)\b") == []
+
+
+def test_only_intervals_module_knows_the_endpoint_layout():
+    # Fraction's private slots, and allocation without its constructor, are
+    # read and used in intervals.py alone; other modules call its primitives.
+    assert offenders("intervals.py", r"\._(numerator|denominator)\b|object\.__new__") == []
 
 
 class Counting:
