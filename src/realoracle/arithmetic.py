@@ -94,16 +94,16 @@ def o_recip(x: Oracle, witness: RInterval) -> Oracle:
     excludes, is rejected here; a lie that only surfaces later is raised
     from the refinement stream the moment the operand separates from it.
     A witness ending exactly at the operand's number (when x is not rooted)
-    still refines, but the result is never rooted (see ``clamp_to``).
+    still refines, but the result is never rooted: the image of x's
+    enclosure is the reciprocal of its cut to the witness (``clamp_to``).
     """
     if witness.lo <= 0 <= witness.hi:
         raise ZeroWitnessInvalid(f"witness {witness} contains 0")
     if x.decide(witness, _WITNESS_CHECK_BUDGET) is QueryResult.NO:
         raise ZeroWitnessInvalid(f"witness {witness} is not a Yes interval of {x.label}")
-    clamp = clamp_to(witness)
 
     def image(got: RInterval) -> RInterval:
-        clamped = clamp(got)
+        clamped = clamp_to(witness, got)
         if clamped is None:
             raise ZeroWitnessInvalid(
                 f"operand {x.label} refined to {got}, disjoint from witness {witness}"

@@ -45,7 +45,7 @@ from .errors import (
     ExprSyntaxError,
     OracleError,
 )
-from .intervals import format_rational, interval_make, parse_interval
+from .intervals import format_rational, int_text, interval_make, parse_interval
 from .oracle import Budget, Oracle, QueryResult
 from .refine import best_approx, mediant_expand, to_decimal
 
@@ -372,8 +372,10 @@ def _infix(symbol: str, prec: int) -> Callable[..., Tuple[str, int]]:
 
 # A node folds to its text and precedence, and a parent puts a child in
 # parentheses when the child binds more loosely than the operand it fills.
+# A negative literal prints as a quotient, (-3)/4, which folds back into it.
 _FORMAT = {
-    RationalLit: lambda node: (format_rational(node.value), _PREC_NEG if node.value < 0 else _PREC_ATOM),
+    RationalLit: lambda node: (format_rational(node.value), _PREC_ATOM) if node.value >= 0 else (
+        f"({int_text(node.value.numerator)})/{int_text(node.value.denominator)}", _PREC_MUL),
     Root: lambda node: (f"root({node.index}, {format_rational(node.radicand)})" if node.index != 2
                         else f"sqrt({format_rational(node.radicand)})", _PREC_ATOM),
     PolyZero: lambda node: (

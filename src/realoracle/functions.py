@@ -96,7 +96,8 @@ def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
     the function evaluates exactly there, the result is rooted at that
     value. Raises :class:`DomainEscape` if a refinement of x separates from
     the function's domain. A domain ending exactly at an unrooted x still
-    refines, but the result is never rooted (see ``clamp_to``).
+    refines, but the result is never rooted: the image of x's enclosure is
+    the extension of its cut to the domain (``clamp_to``).
     """
     root = x.root
     if root is not None and fn.point is not None:
@@ -105,11 +106,10 @@ def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
                 f"{format_rational(root)} lies outside the domain {fn.domain} of {fn.description}"
             )
         return rational_oracle(fn.point(root))
-    clamp = None if fn.domain is None else clamp_to(fn.domain)
 
     def image(got: RInterval) -> RInterval:
-        if clamp is not None:
-            clamped = clamp(got)
+        if fn.domain is not None:
+            clamped = clamp_to(fn.domain, got)
             if clamped is None:
                 raise DomainEscape(
                     f"refinement {got} of {x.label} left the domain {fn.domain} of {fn.description}"
@@ -123,7 +123,7 @@ def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
         base = Fraction(fn.modulus(Fraction(2) ** -bits, got if fn.domain is None else fn.domain))
         if base <= 0:
             raise OracleError(f"modulus of {fn.description} gave the base width {base}, not a positive one")
-        return (target_bits(base) + (clamp is not None),)
+        return (target_bits(base) + (fn.domain is not None),)
 
     return node_oracle((x,), image, f"{fn.description}({x.label})", split)
 

@@ -270,8 +270,6 @@ class Oracle:
                         if op._error is not None:
                             raise op._error
                         known.append(op._best)
-                    # Operand enclosures only shrink, and image runs once per
-                    # step under this lock: clamp_to cuts keep state.
                     nxt = None if self._best is None and None in known else self.image(*known)
                     if bits is not None and precision(nxt) < bits:
                         raise OracleError(f"split of {self.label} is met, yet {nxt} is wider than 2**-{bits}")
@@ -407,9 +405,12 @@ def node_oracle(
 ) -> Oracle:
     """The node whose enclosures are ``image`` of its operands' enclosures.
 
-    ``split(bits, *enclosures)`` gives one precision per operand: operand
-    enclosures nested in the given ones and of width at most
-    ``2**-precision`` must map to an image of width at most ``2**-bits``.
+    ``image`` is a pure function of those enclosures: it keeps no state
+    between pulls, so the node's answer depends on where its operands are
+    and not on how they got there. ``split(bits, *enclosures)`` gives one
+    precision per operand: operand enclosures nested in the given ones and
+    of width at most ``2**-precision`` must map to an image of width at most
+    ``2**-bits``.
     A label longer than a few hundred characters keeps its two ends around
     an ellipsis, so labels of shared operands cannot double at every level.
     """
@@ -423,30 +424,25 @@ def node_oracle(
     return node
 
 
-def clamp_to(region: RInterval) -> Callable[[RInterval], Optional[RInterval]]:
-    """Cuts one operand's nested enclosures down to a region it is claimed
-    to lie in; a cut is None once the two are disjoint.
+def clamp_to(region: RInterval, got: RInterval) -> Optional[RInterval]:
+    """An operand's enclosure ``got`` cut down to a region it is claimed to
+    lie in; None when the two are disjoint.
 
-    A cut to one point that the operand did not reach would make up a root
-    from a claim a later enclosure may still refute. Such a cut is widened
-    to the part of the last cut (the region at first) within the operand's
-    width of the point. The cuts stay nested and shrink to the point, so a
-    true claim ending exactly at the number refines, though it never roots,
-    and a false one is raised once the operand leaves the point.
+    ``got`` itself when the region encloses it, else the part of the region
+    within ``got``'s width of ``got``. The cut holds ``got`` within the
+    region and is at most twice as wide as ``got``, and nested enclosures
+    give nested cuts. It is a point only when ``got`` or the region is one:
+    a cut to a point the operand did not reach would make up a root from a
+    claim a later enclosure may still refute. So a true claim ending exactly
+    at the number refines, though it never roots, and a false one is raised
+    once the operand leaves the region.
     """
-    last = region
-
-    def cut(got: RInterval) -> Optional[RInterval]:
-        nonlocal last
-        piece = got.intersection(region)
-        if piece is not None and piece.is_singleton and not got.is_singleton:
-            point, width = piece.lo, got.width
-            piece = last.intersection(_interval_raw(point - width, point + width))
-        if piece is not None:
-            last = piece
-        return piece
-
-    return cut
+    if region.encloses(got):
+        return got
+    if not region.intersects(got):
+        return None
+    width = got.width
+    return region.intersection(_interval_raw(got.lo - width, got.hi + width))
 
 
 def _hint_verdict(hint: LocateHint, interval: RInterval) -> Optional[QueryResult]:

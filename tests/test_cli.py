@@ -136,7 +136,7 @@ def random_ast(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         choice = rng.randrange(3)
         if choice == 0:
-            return RationalLit(F(rng.randint(0, 40), rng.randint(1, 12)))
+            return RationalLit(F(rng.randint(-40, 40), rng.randint(1, 12)))
         if choice == 1:
             return Root(rng.choice([2, 2, 3, 5]), F(rng.randint(1, 30), rng.randint(1, 6)))
         return PolyZero((F(-rng.randint(1, 5)), F(0), F(1)), F(0), F(10))

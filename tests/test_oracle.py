@@ -1,4 +1,5 @@
 import itertools
+import random
 import threading
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from realoracle.oracle import (
     FonsiSource,
     Placement,
     QueryResult,
+    clamp_to,
     is_rooted,
     oracle_from_fonsi,
 )
@@ -231,6 +233,56 @@ class TestInvariants:
         chain = list(itertools.islice(o.refiner(), 20))
         for prev, nxt in zip(chain, chain[1:]):
             assert prev.encloses(nxt)
+
+
+def nested_around(rng, number):
+    """Nested enclosures of ``number``: each end moves towards it by none,
+    a quarter, ... or all of its distance, and an end that reaches the
+    number stays there."""
+    lo = number - F(rng.randint(0, 8), rng.randint(1, 4))
+    hi = number + F(rng.randint(1, 8), rng.randint(1, 4))
+    for _ in range(rng.randint(1, 12)):
+        yield RInterval(lo, hi)
+        lo = number - (number - lo) * F(rng.randint(0, 4), 4)
+        hi = number + (hi - number) * F(rng.randint(0, 4), 4)
+
+
+def claimed_region(rng, number):
+    """A region of positive width that holds ``number``, ends exactly at
+    it on either side, or misses it."""
+    a, b = F(rng.randint(1, 8), rng.randint(1, 4)), F(rng.randint(1, 8), rng.randint(1, 4))
+    return rng.choice([
+        RInterval(number - a, number + b),
+        RInterval(number, number + b), RInterval(number - a, number),
+        RInterval(number + a, number + a + b), RInterval(number - a - b, number - a),
+        RInterval(number + a / 64, number + b), RInterval(number - a, number - b / 64),
+    ])
+
+
+class TestClampTo:
+    def test_cuts_of_nested_enclosures(self):
+        rng = random.Random(2020)
+        for _ in range(3000):
+            number = F(rng.randint(-20, 20), rng.randint(1, 5))
+            region = claimed_region(rng, number)
+            history = []
+            for got in nested_around(rng, number):
+                cut = clamp_to(region, got)
+                history.append((got, cut))
+                meet = got.intersection(region)
+                assert (cut is None) == (meet is None), (region, got)
+                if cut is None:
+                    continue
+                assert region.encloses(cut) and cut.encloses(meet), (region, got, cut)
+                assert not cut.is_singleton or got.is_singleton, (region, got, cut)
+                assert cut.width <= 2 * got.width, (region, got, cut)
+                if len(history) > 1:
+                    assert history[-2][1].encloses(cut), (region, history)
+            # A fresh call, on a copy of the region and in the reverse
+            # order, cuts each enclosure as the sequence did.
+            fresh = RInterval(region.lo, region.hi)
+            for got, cut in reversed(history):
+                assert clamp_to(fresh, got) == cut, (region, got)
 
 
 class TestStickyErrors:

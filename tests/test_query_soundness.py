@@ -1,7 +1,7 @@
 """Seeded differential: budgeted decide, locate and compare on derived nodes
 (over root and rational leaves, and over zeros of polynomial signs on
-non-dyadic brackets) and on leaves without an exact answer, against a
-deeply refined twin.
+non-dyadic brackets, with or without function applications) and on leaves
+without an exact answer, against a deeply refined twin.
 
 Each tree is built twice from the same seed. The twin is refined to width
 2**-400, and every definitive answer of the other tree, at every budget,
@@ -26,11 +26,15 @@ from realoracle.constructors import (
     polynomial_sign,
     rational_oracle,
 )
+from realoracle.functions import apply, poly_extension, recip_extension
 from realoracle.intervals import RInterval, dyadic
 from realoracle.oracle import Budget, FonsiSource, Placement, QueryResult, oracle_from_fonsi, target_bits
 
 BUDGETS = (0, 1, 3, 10, 50, 200)
 DEEP = F(1, 2**400)
+KINDS = ("add", "sub", "mul", "mul", "neg", "abs", "recip")
+# Function applications: a polynomial, and the reciprocal on a domain.
+APPLY_KINDS = KINDS + ("poly", "recip_fn")
 
 
 def random_leaf(rng: random.Random):
@@ -60,30 +64,40 @@ def random_leaf_or_polyzero(rng: random.Random):
     return random_polyzero(rng) if rng.random() < 0.5 else random_leaf(rng)
 
 
-def random_operand(rng: random.Random, depth: int, leaf=random_leaf):
-    return leaf(rng) if depth == 0 or rng.random() < 0.2 else random_tree(rng, depth, leaf)
+def random_operand(rng: random.Random, depth: int, leaf=random_leaf, kinds=KINDS):
+    return leaf(rng) if depth == 0 or rng.random() < 0.2 else random_tree(rng, depth, leaf, kinds)
 
 
-def random_tree(rng: random.Random, depth: int, leaf=random_leaf):
+def clear_of_zero(x):
+    """A witness from the operand's own refinement: the enclosure widened
+    to twice its ends, or None when it does not keep clear of 0."""
+    got = x.refine(F(1, 2**20), Budget(10**3))
+    if got.lo > 0:
+        return RInterval(got.lo / 2, got.hi * 2)
+    if got.hi < 0:
+        return RInterval(got.lo * 2, got.hi / 2)
+    return None
+
+
+def random_tree(rng: random.Random, depth: int, leaf=random_leaf, kinds=KINDS):
     """A tree of depth at most ``depth`` over ``leaf`` draws (root and
-    rational leaves by default), with an operator on top (which folds away
-    when every leaf is rational)."""
-    kind = rng.choice(("add", "sub", "mul", "mul", "neg", "abs", "recip"))
-    x = random_operand(rng, depth - 1, leaf)
+    rational leaves by default), with an operator of ``kinds`` on top
+    (which folds away when every leaf is rational)."""
+    kind = rng.choice(kinds)
+    x = random_operand(rng, depth - 1, leaf, kinds)
     if kind == "neg":
         return o_neg(x)
     if kind == "abs":
         return o_abs(x)
-    if kind == "recip":
-        # A witness from the operand's own refinement: the enclosure
-        # widened to twice its ends, when it keeps clear of 0.
-        got = x.refine(F(1, 2**20), Budget(10**3))
-        if got.lo > 0:
-            return o_recip(x, RInterval(got.lo / 2, got.hi * 2))
-        if got.hi < 0:
-            return o_recip(x, RInterval(got.lo * 2, got.hi / 2))
-        return o_neg(x)
-    y = x if rng.random() < 0.2 else random_operand(rng, depth - 1, leaf)
+    if kind in ("recip", "recip_fn"):
+        witness = clear_of_zero(x)
+        if witness is None:
+            return o_neg(x)
+        return o_recip(x, witness) if kind == "recip" else apply(recip_extension(witness), x)
+    if kind == "poly":
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 4))]
+        return apply(poly_extension(coeffs), x)
+    y = x if rng.random() < 0.2 else random_operand(rng, depth - 1, leaf, kinds)
     return {"add": o_add, "sub": o_sub, "mul": o_mul}[kind](x, y)
 
 
@@ -118,15 +132,15 @@ def answer_fits(got: QueryResult, deep: RInterval, interval: RInterval) -> bool:
     return not interval.encloses(deep)
 
 
-def check_trees(seeds, leaf=random_leaf) -> int:
+def check_trees(seeds, leaf=random_leaf, kinds=KINDS) -> int:
     """Ask each tree every question at every budget against its deep twin;
     the count of definitive answers."""
     checked = 0
     for seed in seeds:
         depth = 1 + seed % 3
-        deep = random_tree(random.Random(seed), depth, leaf).refine(DEEP, Budget(10**4))
+        deep = random_tree(random.Random(seed), depth, leaf, kinds).refine(DEEP, Budget(10**4))
         assert deep is not None
-        tree = random_tree(random.Random(seed), depth, leaf)
+        tree = random_tree(random.Random(seed), depth, leaf, kinds)
         points, intervals = questions(random.Random(10**6 + seed), deep)
         for steps in BUDGETS:
             for point in points:
@@ -150,6 +164,11 @@ def test_budgeted_answers_agree_with_a_deep_twin():
 def test_budgeted_answers_over_polyzero_leaves_agree_with_a_deep_twin():
     # New seeds, so that the trees above stay as they are.
     assert check_trees(range(600, 800), random_leaf_or_polyzero) > 3000
+
+
+def test_budgeted_answers_over_function_applications_agree_with_a_deep_twin():
+    # New seeds again; the reciprocal's domain is drawn as recip's witness.
+    assert check_trees(range(800, 1200), random_leaf_or_polyzero, APPLY_KINDS) > 10000
 
 
 def partners(seed: int, x, deep: RInterval):

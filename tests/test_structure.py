@@ -18,7 +18,8 @@ PACKAGE = Path(realoracle.__file__).parent
 
 
 def offenders(owner, pattern):
-    """``file:line`` of each line outside ``owner`` that matches ``pattern``."""
+    """``file:line`` of each line outside the module ``owner`` (None: in
+    any module) that matches ``pattern``."""
     return [
         f"{path.name}:{number}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -38,6 +39,12 @@ def test_only_intervals_module_knows_the_endpoint_layout():
     # Fraction's private slots, and allocation without its constructor, are
     # read and used in intervals.py alone; other modules call its primitives.
     assert offenders("intervals.py", r"\._(numerator|denominator)\b|object\.__new__") == []
+
+
+def test_no_module_rebinds_a_variable_of_an_enclosing_function():
+    # State kept between calls lives in objects, not in closures: node
+    # images are pure functions of their operands' enclosures.
+    assert offenders(None, r"\bnonlocal\b") == []
 
 
 class Counting:
