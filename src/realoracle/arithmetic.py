@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .constructors import rational_oracle
 from .errors import ZeroWitnessInvalid
+from .functions import _CHECK_BUDGET, _claimed, recip_extension
 from .intervals import RInterval, _le, mag_bits
-from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
+from .oracle import Budget, Oracle, Placement, QueryResult, node_oracle
 
-_WITNESS_CHECK_BUDGET = Budget(64)
 _ZERO = Fraction(0)
 
 
@@ -86,39 +86,19 @@ Oracle.__mul__, Oracle.__abs__ = o_mul, o_abs
 
 
 def o_recip(x: Oracle, witness: RInterval) -> Oracle:
-    """Reciprocal of an oracle known to avoid zero.
+    """Reciprocal of x, given a witness: a Yes interval of x excluding 0.
 
-    The caller certifies the nonzero fact by supplying a Yes interval of x
-    that excludes 0. The certificate is checked as far as a bounded query
-    can: a witness containing zero, or one the operand definitively
-    excludes, is rejected here; a lie that only surfaces later is raised
-    from the refinement stream the moment the operand separates from it.
-    A witness ending exactly at the operand's number (when x is not rooted)
-    still refines, but the result is never rooted: the image of x's
-    enclosure is the reciprocal of its cut to the witness (``clamp_to``).
+    The node of ``apply(recip_extension(witness), x)``, labelled ``1/(x)``,
+    raising :class:`ZeroWitnessInvalid` where ``apply`` raises. The witness
+    is trusted and checked only by bounded queries: one containing zero, or
+    one x definitively excludes, is rejected here, and the rest as ``apply``
+    checks a domain (a one-point one must be met exactly).
     """
     if witness.lo <= 0 <= witness.hi:
         raise ZeroWitnessInvalid(f"witness {witness} contains 0")
-    if x.decide(witness, _WITNESS_CHECK_BUDGET) is QueryResult.NO:
+    if x.decide(witness, _CHECK_BUDGET) is QueryResult.NO:
         raise ZeroWitnessInvalid(f"witness {witness} is not a Yes interval of {x.label}")
-
-    def image(got: RInterval) -> RInterval:
-        clamped = clamp_to(witness, got)
-        if clamped is None:
-            raise ZeroWitnessInvalid(
-                f"operand {x.label} refined to {got}, disjoint from witness {witness}"
-            )
-        return clamped.recip()
-
-    # The cut lies in the witness and is at most twice as wide as the
-    # operand's enclosure, and |1/t| <= 2**e on the witness, so the image
-    # is at most 2 * wX * 2**(2 * e) wide.
-    extra = 1 + 2 * mag_bits(witness.recip())
-
-    def split(bits, got):
-        return (bits + extra,)
-
-    return _node((x,), image, f"1/({x.label})", split)
+    return _claimed(recip_extension(witness), x, ZeroWitnessInvalid, f"1/({x.label})")
 
 
 def compare(x: Oracle, y: Oracle, budget: Budget) -> CompareResult:

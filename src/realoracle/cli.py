@@ -18,10 +18,12 @@ Expression grammar::
     RATIONAL := ["-"] INT ["/" INT]
 
 ``polyzero`` lists polynomial coefficients low to high, then the bracket
-endpoints. Division by a rational literal is exact, left to right; division
-by a compound expression is rejected with a hint to use ``recip`` with a
-witness interval. Trees are walked without recursion (``_fold``); only the
-parser recurses, on parentheses and ``recip(``.
+endpoints. ``recip``'s zero-free witness ``lo:hi`` is trusted: it is checked
+only by a bounded query and by later refinements, and a one-point witness
+needs an exactly known operand. Division by a rational literal is exact,
+left to right; division by a compound expression is rejected with a hint to
+use ``recip`` with a witness interval. Trees are walked without recursion
+(``_fold``); only the parser recurses, on parentheses and ``recip(``.
 """
 
 from __future__ import annotations
@@ -425,7 +427,7 @@ def _build_parser() -> _Argv:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("expr", help="expression, e.g. 'sqrt(2) + 1'")
+        p.add_argument("expr", help="expression, e.g. 'sqrt(2) + 1'; a recip(expr; lo:hi) witness is trusted")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help=f"refinement rounds per query (default {DEFAULT_BUDGET})")
 

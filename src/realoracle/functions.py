@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 from .constructors import rational_oracle
 from .errors import DomainEscape, OracleError, ZeroInDenominator
 from .intervals import RInterval, as_rational, format_rational, target_bits
-from .oracle import Budget, Oracle, QueryResult, clamp_to, node_oracle
+from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
 
 
 @dataclass(frozen=True)
@@ -89,43 +89,58 @@ def rect_decide(fn: FunctionOracle, rect: Rectangle, budget: Budget) -> QueryRes
     return QueryResult.YES
 
 
-def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
-    """The oracle of f(x): walls of Yes rectangles whose base holds x.
+# Bounds each up-front check of a claimed region.
+_CHECK_BUDGET = Budget(64)
 
-    The result refines by extending x's refinements. When x is rooted and
-    the function evaluates exactly there, the result is rooted at that
-    value. Raises :class:`DomainEscape` if a refinement of x separates from
-    the function's domain. A domain ending exactly at an unrooted x still
-    refines, but the result is never rooted: the image of x's enclosure is
-    the extension of its cut to the domain (``clamp_to``).
+
+def _claimed(fn: FunctionOracle, x: Oracle, escape: type, label: str) -> Oracle:
+    """The node of f(x), x claimed to lie in ``fn.domain`` (None: anywhere).
+
+    ``escape`` is raised when x is seen outside the region. A one-point
+    region must be met exactly: x must be rooted there, or locate EQUAL at
+    the point within the check budget, because cutting an enclosure to the
+    point would make up a root from a claim a later enclosure may refute.
     """
+    region = fn.domain
+    if region is not None and region.is_singleton and x.root is None:
+        if x.locate(region.lo, _CHECK_BUDGET) is not Placement.EQUAL:
+            raise escape(f"{x.label} is not known to equal the point {region} claimed for {fn.description}")
     root = x.root
     if root is not None and fn.point is not None:
-        if fn.domain is not None and not fn.domain.contains(root):
-            raise DomainEscape(
-                f"{format_rational(root)} lies outside the domain {fn.domain} of {fn.description}"
-            )
+        if region is not None and not region.contains(root):
+            raise escape(f"{format_rational(root)} lies outside the region {region} claimed for {fn.description}")
         return rational_oracle(fn.point(root))
 
     def image(got: RInterval) -> RInterval:
-        if fn.domain is not None:
-            clamped = clamp_to(fn.domain, got)
-            if clamped is None:
-                raise DomainEscape(
-                    f"refinement {got} of {x.label} left the domain {fn.domain} of {fn.description}"
-                )
-            got = clamped
+        if region is not None:
+            cut = clamp_to(region, got)
+            if cut is None:
+                raise escape(f"refinement {got} of {x.label} left the region {region} claimed for {fn.description}")
+            got = cut
         return fn.extension(got)
 
     def split(bits: int, got: RInterval) -> Tuple[int]:
-        # Bases lie in the domain, or else in x's enclosure; a cut to the
-        # domain is at most twice as wide as x's enclosure.
-        base = Fraction(fn.modulus(Fraction(2) ** -bits, got if fn.domain is None else fn.domain))
+        # Bases lie in the region, or else in x's enclosure; a cut to the
+        # region is at most twice as wide as x's enclosure.
+        base = Fraction(fn.modulus(Fraction(2) ** -bits, got if region is None else region))
         if base <= 0:
             raise OracleError(f"modulus of {fn.description} gave the base width {base}, not a positive one")
-        return (target_bits(base) + (fn.domain is not None),)
+        return (target_bits(base) + (region is not None),)
 
-    return node_oracle((x,), image, f"{fn.description}({x.label})", split)
+    return node_oracle((x,), image, label, split)
+
+
+def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
+    """The oracle of f(x): walls of Yes rectangles whose base holds x.
+
+    The result refines by extending x's refinements, and is rooted at
+    ``fn.point(root)`` when x is rooted and f has a ``point``. Raises
+    :class:`DomainEscape` when x is rooted outside the domain, misses a
+    one-point domain, or refines away from the domain. Otherwise the image
+    is the extension of x's enclosure cut to the domain (``clamp_to``), so a
+    domain ending exactly at an unrooted x refines but never roots it.
+    """
+    return _claimed(fn, x, DomainEscape, f"{fn.description}({x.label})")
 
 
 def _horner_interval(coeffs, base: RInterval) -> RInterval:

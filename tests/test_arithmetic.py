@@ -212,6 +212,20 @@ class TestClampMakesNoRoot:
         assert seen[-1].width < F(1, 10**9)
 
 
+class TestPointWitness:
+    def test_a_point_witness_near_an_unrooted_operand_is_refused(self):
+        # The number is 2 + 2^-100, so the bounded check cannot refute the
+        # witness 2:2; a cut to it would root the result at 1/2.
+        x = o_add(o_mul(sqrt2(), sqrt2()), rational_oracle(F(1, 2**100)))
+        with pytest.raises(ZeroWitnessInvalid):
+            o_recip(x, interval_make(2, 2))
+        assert x.root is None
+
+    @pytest.mark.parametrize("x", [rational_oracle(2), nth_root_oracle(2, 4)], ids=["rational", "root"])
+    def test_a_true_point_witness_on_a_rooted_operand_is_exact(self, x):
+        assert o_recip(x, interval_make(2, 2)).root == F(1, 2)
+
+
 class TestNodeLabels:
     def test_short_labels_unchanged(self):
         x, y = sqrt2(), rational_oracle(F(1, 3))

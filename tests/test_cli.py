@@ -208,6 +208,19 @@ class TestCommands:
         assert code == 2
         assert out.startswith("Exhausted") and "100" in out
 
+    def test_query_with_a_point_witness_off_the_number_exits_one(self, capsys):
+        # The number is 1/(2 + 2^-100); the witness 2:2 must not root it at 1/2.
+        expr = f"recip(sqrt(2)*sqrt(2) + 1/{2**100}; 2:2)"
+        code = run_command(["query", expr, "1/2:1/2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_eval_with_a_point_witness_at_an_exact_number(self, capsys):
+        code = run_command(["eval", "recip(sqrt(4); 2:2)"])
+        assert capsys.readouterr().out == "0.5000000000 ± 1e-10 (exact)\n"
+        assert code == 0
+
     def test_eval_rational_polyzero_on_a_decimal_boundary(self, capsys):
         # The zero 1001/2 is rooted, so its digits need no decision at 500.5.
         code = run_command(["eval", "polyzero(-1001, 2; 0, 1000)", "--digits", "3"])

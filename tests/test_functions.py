@@ -4,8 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from realoracle.arithmetic import CompareResult, compare, o_mul, o_recip
-from realoracle.constructors import UpperBoundTest, lub_oracle, nth_root_oracle, rational_oracle
+from realoracle.arithmetic import CompareResult, compare, o_add, o_mul, o_recip
+from realoracle.constructors import (
+    SignFunction,
+    UpperBoundTest,
+    ivt_oracle,
+    lub_oracle,
+    nth_root_oracle,
+    rational_oracle,
+)
 from realoracle.errors import DomainEscape, OracleError, ZeroInDenominator
 from realoracle.functions import (
     FunctionOracle,
@@ -224,6 +231,27 @@ class TestApplyClampMakesNoRoot:
         got = fx.refine(F(1, 10**6), Budget(100))
         assert got is not None and got.lo <= 1 <= got.hi
         assert fx.root is None
+
+
+class TestPointDomain:
+    def test_a_point_domain_near_an_unrooted_argument_is_refused(self):
+        x = o_add(o_mul(nth_root_oracle(2, 2), nth_root_oracle(2, 2)), rational_oracle(F(1, 2**100)))
+        with pytest.raises(DomainEscape):
+            apply(recip_extension(interval_make(2, 2)), x)
+        assert x.root is None
+
+    @pytest.mark.parametrize("x", [rational_oracle(2), nth_root_oracle(2, 4)], ids=["rational", "root"])
+    def test_a_true_point_domain_on_a_rooted_argument_is_exact(self, x):
+        assert apply(recip_extension(interval_make(2, 2)), x).root == F(1, 2)
+
+    def test_an_argument_that_locates_equal_at_the_point_becomes_rooted(self):
+        # An opaque sign's zero 1 + 3^-50 is past its rational-root probe, so
+        # the leaf starts unrooted; its exact hint places the point as EQUAL.
+        z = 1 + F(1, 3**50)
+        x = ivt_oracle(SignFunction(lambda t: (t > z) - (t < z)), 1, 2)
+        assert x.root is None
+        assert apply(recip_extension(interval_make(z, z)), x).root == 1 / z
+        assert x.root == z
 
 
 class TestApplyPullsStayWithinTheBudget:

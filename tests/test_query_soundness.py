@@ -14,6 +14,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from realoracle.arithmetic import CompareResult, compare, o_abs, o_add, o_mul, o_neg, o_recip, o_sub
 from realoracle.constructors import (
     CauchySpec,
@@ -26,6 +28,7 @@ from realoracle.constructors import (
     polynomial_sign,
     rational_oracle,
 )
+from realoracle.errors import DomainEscape, ZeroWitnessInvalid
 from realoracle.functions import apply, poly_extension, recip_extension
 from realoracle.intervals import RInterval, dyadic
 from realoracle.oracle import Budget, FonsiSource, Placement, QueryResult, oracle_from_fonsi, target_bits
@@ -169,6 +172,34 @@ def test_budgeted_answers_over_polyzero_leaves_agree_with_a_deep_twin():
 def test_budgeted_answers_over_function_applications_agree_with_a_deep_twin():
     # New seeds again; the reciprocal's domain is drawn as recip's witness.
     assert check_trees(range(800, 1200), random_leaf_or_polyzero, APPLY_KINDS) > 10000
+
+
+def test_point_regions_root_exactly_or_are_refused():
+    # New seeds again. The one point of a witness or domain is the operand's
+    # root, or else the midpoint of its twin's deep enclosure, within 2**-400
+    # of the number: too close for a node's bounded check to refute.
+    exact = refused = 0
+    for seed in range(1200, 1500):
+        depth = seed % 3
+        deep = random_operand(random.Random(seed), depth, random_leaf_or_polyzero, APPLY_KINDS).refine(DEEP, Budget(10**4))
+        x = random_operand(random.Random(seed), depth, random_leaf_or_polyzero, APPLY_KINDS)
+        point = x.root if x.root is not None else deep.midpoint()
+        if point == 0:
+            continue
+        region = RInterval(point, point)
+        if random.Random(10**6 + seed).random() < 0.5:
+            build, escape = (lambda: o_recip(x, region)), ZeroWitnessInvalid
+        else:
+            build, escape = (lambda: apply(recip_extension(region), x)), DomainEscape
+        if x.root is not None:
+            assert build().root == 1 / point, (seed, x.label)
+            exact += 1
+        else:
+            with pytest.raises(escape):
+                build()
+            assert x.root is None, (seed, x.label)
+            refused += 1
+    assert exact > 50 and refused > 100, (exact, refused)
 
 
 def partners(seed: int, x, deep: RInterval):

@@ -47,6 +47,11 @@ def test_no_module_rebinds_a_variable_of_an_enclosing_function():
     assert offenders(None, r"\bnonlocal\b") == []
 
 
+def test_only_functions_module_cuts_to_a_claimed_region():
+    # o_recip and apply build one claimed-region node, in functions.py.
+    assert offenders("functions.py", r"\bclamp_to\(\w+,") == []
+
+
 class Counting:
     """A fonsi leaf around ``center`` that counts how often it is pulled."""
 
