@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .constructors import rational_oracle
 from .errors import DomainEscape, OracleError, ZeroInDenominator
-from .intervals import RInterval, as_rational, format_rational, target_bits
+from .intervals import RInterval, _q_mul, as_rational, dyadic, format_rational, target_bits
 from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
 
 
@@ -122,8 +122,9 @@ def _claimed(fn: FunctionOracle, x: Oracle, escape: type, label: str) -> Oracle:
     def split(bits: int, got: RInterval) -> Tuple[int]:
         # Bases lie in the region, or else in x's enclosure; a cut to the
         # region is at most twice as wide as x's enclosure.
-        base = Fraction(fn.modulus(Fraction(2) ** -bits, got if region is None else region))
-        if base <= 0:
+        base = fn.modulus(dyadic(1, bits), got if region is None else region)
+        base = base if isinstance(base, Fraction) else Fraction(base)
+        if base.numerator <= 0:
             raise OracleError(f"modulus of {fn.description} gave the base width {base}, not a positive one")
         return (target_bits(base) + (region is not None),)
 
@@ -193,6 +194,7 @@ def recip_extension(domain: RInterval) -> FunctionOracle:
     if domain.lo <= 0 <= domain.hi:
         raise ZeroInDenominator(f"reciprocal domain {domain} contains 0")
     least = min(abs(domain.lo), abs(domain.hi))
+    least_sq = _q_mul(least, least)
 
     def extension(base: RInterval) -> RInterval:
         clamped = base.intersection(domain)
@@ -206,7 +208,7 @@ def recip_extension(domain: RInterval) -> FunctionOracle:
     def modulus(width: Fraction, within: RInterval) -> Fraction:
         if width <= 0:
             raise ValueError("target width must be positive")
-        return width * least * least
+        return _q_mul(as_rational(width), least_sq)
 
     return FunctionOracle(
         extension,

@@ -1,8 +1,10 @@
 """Exact rational scalars and inclusive rational intervals.
 
 Everything in this module is exact: scalars are arbitrary-precision
-fractions, intervals are closed with rational endpoints, and no operation
-rounds. Decimal presentation lives in :mod:`realoracle.refine`.
+fractions, and intervals are closed with rational endpoints. One operation
+rounds: ``round_out`` widens an interval outward onto a dyadic grid, so a
+node's enclosure keeps endpoints as short as its precision needs and still
+holds its number. Decimal presentation lives in :mod:`realoracle.refine`.
 
 The module also houses a few fast constructors for dyadic fractions
 (denominator a power of two). Refinement streams bisect, so their endpoint
@@ -161,6 +163,11 @@ def _q_half(a: Fraction) -> Fraction:
     return _raw_fraction(n >> 1, d)
 
 
+def _grid_floor(n: int, d: int, shift: int) -> int:
+    # floor(n / d * 2**shift), by a shift when d is a power of two.
+    return (n << shift) // d if d & (d - 1) else n >> (d.bit_length() - 1 - shift)
+
+
 def _width_ratio(lo: Fraction, hi: Fraction) -> Tuple[int, int]:
     """``hi - lo`` as an unreduced ``(num, den)`` pair; ``den`` is a power
     of two when both endpoints are dyadic."""
@@ -205,6 +212,19 @@ def mag_bits(interval: RInterval) -> int:
     if not num:
         return 0
     return -_log2_floor(den, num)
+
+
+def round_out(interval: RInterval, shift: int) -> RInterval:
+    """``interval`` with ``lo`` floored and ``hi`` ceiled onto the
+    ``2**-shift`` grid (``shift >= 0``), keeping an endpoint whose
+    denominator is at most ``2**shift``. Each end moves less than a step;
+    ``interval`` itself comes back when neither moves."""
+    lo, hi = interval.lo, interval.hi
+    if (lo._denominator - 1).bit_length() > shift:
+        lo = dyadic(_grid_floor(lo._numerator, lo._denominator, shift), shift)
+    if (hi._denominator - 1).bit_length() > shift:
+        hi = dyadic(-_grid_floor(-hi._numerator, hi._denominator, shift), shift)
+    return interval if lo is interval.lo and hi is interval.hi else _interval_raw(lo, hi)
 
 
 def _narrow_verdict(known: RInterval, width: Fraction) -> Optional[RInterval]:

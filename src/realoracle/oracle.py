@@ -31,9 +31,11 @@ reached by several paths wants the largest of them, and only an oracle
 whose enclosure misses its want gets one. Bottom-up, each oracle that got
 a want then steps once: a leaf takes several stream elements, or seeks
 straight to the precision when its stream can, and a node maps its
-operands' new enclosures. The pull is charged the furthest it took a leaf
-(elements, or bits when seeking) and never more than the budget left, so
-a budget takes a leaf no further than one-element pulls would.
+operands' new enclosures, rounded outward onto its want's grid, so its
+endpoints grow with the want and not with the DAG. The pull is charged
+the furthest it took a leaf (elements, or bits when seeking) and never
+more than the budget left, so a budget takes a leaf no further than
+one-element pulls would.
 
 Every budgeted query pulls by one rule, on leaves and nodes alike: while
 the enclosure misses the query's own target (``refine`` and
@@ -41,8 +43,8 @@ the enclosure misses the query's own target (``refine`` and
 aiming 8, then 16, 32, ... bits past the current precision but never
 more than the steps left. So a question that needs d bits takes about
 log2(d) pulls rather than d. ``compare`` locates 0 on the node
-``x - y``. Only ``refiner()`` pulls without a target: each of its steps
-draws one element from every leaf below, a shared one once.
+``x - y``. Only ``refiner()`` pulls without a target, and exactly: each
+of its steps draws one element from every leaf below, a shared one once.
 
 Oracles are safe to share between threads: a pull takes one oracle's lock
 at a time, for that oracle's own step, and the cached narrowest interval
@@ -71,6 +73,7 @@ from .intervals import (
     format_rational,
     mag_bits,
     precision,
+    round_out,
     target_bits,
 )
 
@@ -149,8 +152,9 @@ class Oracle:
     every pull without a target (as ``refiner()`` pulls), steps every
     operand once. A later pull with a target steps each operand that misses
     its target from ``split``, at the largest target any of its parents
-    sets; every budgeted query pulls so (see ``_settle``). Each pull is one
-    pass (``_pass``), so a shared operand steps once in it.
+    sets, and rounds the image outward onto that target's grid; every
+    budgeted query pulls so (see ``_settle``). Each pull is one pass
+    (``_pass``), so a shared operand steps once in it.
     """
 
     operands: Tuple["Oracle", ...] = ()
@@ -208,12 +212,14 @@ class Oracle:
         """One pull: targets down, enclosures up, without recursion. Top-down
         in height order, an oracle's want is the largest any parent asks,
         None (no target) ranking below every target. A node that wants None,
-        or was never pulled, asks each operand for None, else asks by
-        ``split``; only an operand that misses what it is asked gets a want.
-        Then each oracle that got one steps once, bottom-up. Returns the new
-        enclosure and the charge (the furthest a leaf went, at least 1), and
-        raises the error the pass left on this oracle."""
+        or was never pulled, asks each operand for None and steps exact,
+        else asks by ``split(want + 1)``; only an operand that misses what
+        it is asked gets a want. Then each oracle that got one steps once,
+        bottom-up, given it. Returns the new enclosure and the charge (the
+        furthest a leaf went, at least 1), and raises the error the pass left
+        on this oracle."""
         wants = {self: bits}
+        checked = set()  # nodes whose split is met: their images are checked
         heap = [(-self._height, id(self), self)]
         order = []
         while heap:
@@ -226,12 +232,14 @@ class Oracle:
             # so a pull that races another's first pull reads no None below.
             best = node._best
             known = [op._best for op in operands]
+            if best is None:
+                want = wants[node] = None  # a first pull stays exact
             try:
-                asks = [None] * len(operands) if want is None or best is None else node.split(want, *known)
+                asks = [None] * len(operands) if want is None else node.split(want + 1, *known)
             except Exception as exc:
                 node._error = exc
                 continue
-            met = True
+            met = want is not None
             for op, got, ask in zip(operands, known, asks):
                 if op._root is not None or (ask is not None and precision(got) >= ask):
                     continue
@@ -241,24 +249,28 @@ class Oracle:
                     heappush(heap, (-op._height, id(op), op))
                 elif ask is not None and (wants[op] is None or ask > wants[op]):
                     wants[op] = ask
-            if not met:  # a node checks its image only when its split is met
-                wants[node] = None
+            if met:
+                checked.add(node)
         used = 1
         for oracle in order[::-1]:
-            taken = oracle._pull(wants[oracle], steps)
+            taken = oracle._pull(wants[oracle], steps, oracle in checked)
             if taken > used:
                 used = taken
         if self._error is not None:
             raise self._error
         return self._best, used
 
-    def _pull(self, bits: Optional[int], steps: int) -> int:
+    def _pull(self, bits: Optional[int], steps: int, met: bool) -> int:
         """Step this oracle once; returns how far it took a leaf. A leaf takes
         one element, or with ``bits`` aims at width ``2**-bits`` within
         ``steps`` elements (bits, when seeking). A node maps its operands'
-        enclosures by ``image``, and given ``bits`` (its split was met) raises
-        if the image is wider. An error of the step, or one an operand holds,
-        is kept. A known root, or a stream that ended, steps no further."""
+        enclosures by ``image``, and when ``met`` (its operands meet
+        ``split(bits + 1)``) raises if the image is wider than that. Given
+        ``bits >= 0`` it rounds an image that is not a point outward onto the
+        ``2**-(bits + 2)`` grid and meets it with the enclosure held: a met
+        split still gives width at most ``2**-bits``. An error of the step,
+        or one an operand holds, is kept. A known root, or a stream that
+        ended, steps no further."""
         with self._lock:
             if self._root is not None or self._error is not None:
                 return 0
@@ -271,8 +283,12 @@ class Oracle:
                             raise op._error
                         known.append(op._best)
                     nxt = None if self._best is None and None in known else self.image(*known)
-                    if bits is not None and precision(nxt) < bits:
-                        raise OracleError(f"split of {self.label} is met, yet {nxt} is wider than 2**-{bits}")
+                    if met and precision(nxt) < bits + 1:
+                        raise OracleError(f"split of {self.label} is met, yet {nxt} is wider than 2**-{bits + 1}")
+                    if bits is not None and bits >= 0 and not nxt.is_singleton:
+                        wide = round_out(nxt, bits + 2)
+                        if wide is not nxt:  # an exact image is nested already
+                            nxt = _meet(self._best, wide)
                 else:
                     nxt, taken = self._leaf_step(bits, steps)
             except StopIteration:
@@ -410,7 +426,8 @@ def node_oracle(
     and not on how they got there. ``split(bits, *enclosures)`` gives one
     precision per operand: operand enclosures nested in the given ones and
     of width at most ``2**-precision`` must map to an image of width at most
-    ``2**-bits``.
+    ``2**-bits``. A targeted pull asks it one bit past its want and rounds
+    the image outward (see ``Oracle._pull``).
     A label longer than a few hundred characters keeps its two ends around
     an ellipsis, so labels of shared operands cannot double at every level.
     """

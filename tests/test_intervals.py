@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -27,6 +28,7 @@ from realoracle.intervals import (
     interval_relate,
     parse_interval,
     parse_rational,
+    round_out,
 )
 from realoracle.oracle import _narrow_verdict, mag_bits, precision
 
@@ -396,3 +398,46 @@ class TestIntegerKernel:
             got = i.absolute()
             _same_fraction(got.lo, F(0))
             _same_fraction(got.hi, max(-i.lo, i.hi))
+
+
+class TestRoundOut:
+    """``round_out`` floors ``lo`` and ceils ``hi`` onto the ``2**-shift``
+    grid, keeping an endpoint already on a coarser grid."""
+
+    @given(_pooled(2), st.one_of(st.integers(min_value=0, max_value=12), st.integers(min_value=4980, max_value=5020)))
+    @example([_BIG, _BIG + dyadic(1, 6000)], 5000)
+    @example([F(-1, 3), F(1, 3)], 0)
+    @example([F(1, 3), F(1, 3)], 1)
+    def test_rounds_each_end_outward_by_less_than_a_step(self, points, shift):
+        i = interval_make(*points)
+        got = round_out(i, shift)
+        assert got.encloses(i)
+        step = F(1, 2**shift)
+        assert 0 <= i.lo - got.lo < step and 0 <= got.hi - i.hi < step
+        for end, q, rounded in ((got.lo, i.lo, math.floor), (got.hi, i.hi, math.ceil)):
+            want = q if q.denominator <= 2**shift else F(rounded(q * 2**shift), 2**shift)
+            _same_fraction(end, want)
+
+    def test_an_endpoint_on_a_coarser_grid_is_kept(self):
+        # 1/3 is on no dyadic grid, but its denominator is at most 2**2.
+        for lo, hi, shift in ((F(-3, 4), F(1, 3), 2), (F(1), F(5), 0), (F(-1, 8), F(3, 8), 3)):
+            i = interval_make(lo, hi)
+            assert round_out(i, shift) is i
+        got = round_out(interval_make(F(-1, 8), F(5, 16)), 3)
+        _same_fraction(got.lo, F(-1, 8))
+        _same_fraction(got.hi, F(3, 8))
+
+    @pytest.mark.parametrize(
+        "lo,hi,shift,want_lo,want_hi",
+        [
+            (F(-7, 16), F(-3, 16), 2, F(-1, 2), F(0)),
+            (F(-5, 16), F(3, 16), 2, F(-1, 2), F(1, 4)),
+            (F(-1, 3), F(-1, 5), 1, F(-1, 2), F(0)),
+            (F(-2, 3), F(1, 7), 1, F(-1), F(1, 2)),
+            (F(5, 16), F(7, 16), 2, F(1, 4), F(1, 2)),
+        ],
+    )
+    def test_floors_and_ceils_by_sign(self, lo, hi, shift, want_lo, want_hi):
+        got = round_out(interval_make(lo, hi), shift)
+        _same_fraction(got.lo, want_lo)
+        _same_fraction(got.hi, want_hi)

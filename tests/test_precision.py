@@ -404,6 +404,51 @@ class TestSharedOperands:
         assert len(drawn) <= 3
 
 
+def squaring_chain():
+    """3**(1/3) squared 7 times, the leaf shared by both operands."""
+    y = nth_root_oracle(3, 3)
+    for _ in range(7):
+        y = o_mul(y, y)
+    return y
+
+
+def icbrt(n):
+    """floor(n ** (1/3)) for a positive int, by Newton's method."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+class TestBoundedEndpoints:
+    """A targeted pull rounds a node's image outward onto its want's grid,
+    so endpoints grow with the precision asked, not with the DAG's depth."""
+
+    def test_repeated_squaring_keeps_endpoints_near_the_target(self):
+        # y = 3**(128/3). Exact images give 443332-bit endpoints here.
+        digits = 1000
+        y = squaring_chain()
+        got = to_decimal(y, digits, Budget(10**6))
+        limit = 2 * target_bits(F(1, 10 ** (digits + 2)))
+        held = y.enclosure
+        parts = (held.lo.numerator, held.lo.denominator, held.hi.numerator, held.hi.denominator)
+        assert max(abs(n).bit_length() for n in parts) <= limit
+        want = icbrt(3**128 * 10 ** (3 * digits))
+        assert want**3 <= 3**128 * 10 ** (3 * digits) < (want + 1) ** 3
+        assert got.value == F(want, 10**digits)
+
+    def test_pulls_without_a_target_stay_exact(self):
+        # Each refiner step is the exact image of one more leaf element.
+        leaf_steps = itertools.islice(nth_root_oracle(3, 3).refiner(), 20)
+        for got, leaf in zip(squaring_chain().refiner(), leaf_steps):
+            want = leaf
+            for _ in range(7):
+                want = want.mul(want)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
 def test_a_chain_deeper_than_the_recursion_limit_refines():
     # A pull visits the chain in one loop, not one frame per level.
     depth = 10_000

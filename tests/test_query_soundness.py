@@ -202,6 +202,27 @@ def test_point_regions_root_exactly_or_are_refused():
     assert exact > 50 and refused > 100, (exact, refused)
 
 
+def test_successive_enclosures_are_nested():
+    # New seeds again. A targeted pull rounds a node's image outward and
+    # meets it with the enclosure held, so each enclosure lies in the one
+    # before and meets the twin's, also when fine targets starved of budget
+    # alternate with coarse ones, whose grids are coarser.
+    asks = ((4, 10**4), (400, 1), (40, 1), (400, 1), (40, 1), (400, 1), (40, 1), (300, 2), (60, 2), (200, 1), (80, 1),
+            (120, 10**4))
+    for seed in range(1500, 1700):
+        depth = 1 + seed % 3
+        deep = random_tree(random.Random(seed), depth, random_leaf_or_polyzero, APPLY_KINDS).refine(DEEP, Budget(10**4))
+        tree = random_tree(random.Random(seed), depth, random_leaf_or_polyzero, APPLY_KINDS)
+        seen = []
+        for bits, steps in asks:
+            got = tree.refine(F(1, 2**bits), Budget(steps))
+            assert got is None or got == tree.enclosure
+            seen.append(tree.enclosure)
+        for before, after in zip(seen, seen[1:]):
+            assert before.encloses(after), (seed, tree.label)
+        assert all(got.intersects(deep) for got in seen), (seed, tree.label)
+
+
 def partners(seed: int, x, deep: RInterval):
     """Trees to compare with ``x``, each with an enclosure of its number at
     most 2**-400 wide and whether it equals ``x``: ``x`` itself, a second
