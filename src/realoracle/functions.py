@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .constructors import rational_oracle
 from .errors import DomainEscape, OracleError, ZeroInDenominator
-from .intervals import RInterval, _q_mul, as_rational, dyadic, format_rational, target_bits
+from .intervals import RInterval, _le, _q_mul, as_rational, dyadic, format_rational, precision, target_bits
 from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
 
 
@@ -115,7 +115,9 @@ def _claimed(fn: FunctionOracle, x: Oracle, escape: type, label: str) -> Oracle:
         if region is not None:
             cut = clamp_to(region, got)
             if cut is None:
-                raise escape(f"refinement {got} of {x.label} left the region {region} claimed for {fn.description}")
+                side = "below" if _le(got.hi, region.lo) else "above"
+                raise escape(f"refinement of {x.label} of width at most 2**{-precision(got)} lies {side} "
+                             f"the region {region} claimed for {fn.description}")
             got = cut
         return fn.extension(got)
 

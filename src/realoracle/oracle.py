@@ -146,15 +146,18 @@ class FonsiSource:
 class Oracle:
     """One real number: a leaf driven by a stream, or a node over operands.
 
-    A leaf pulls ``stream_factory()``. A node (see :func:`node_oracle`)
-    holds its ``operands`` and an ``image`` function that maps one enclosure
-    per operand to an enclosure of the node's number. Its first pull, and
-    every pull without a target (as ``refiner()`` pulls), steps every
-    operand once. A later pull with a target steps each operand that misses
-    its target from ``split``, at the largest target any of its parents
-    sets, and rounds the image outward onto that target's grid; every
-    budgeted query pulls so (see ``_settle``). Each pull is one pass
-    (``_pass``), so a shared operand steps once in it.
+    A leaf calls ``stream_factory()`` once, at construction (never when
+    built with a ``root``), and pulls the stream it returns. A root is known
+    exactly when the cached enclosure is a point. A node (see
+    :func:`node_oracle`) holds its ``operands`` and an ``image`` function
+    that maps one enclosure per operand to an enclosure of the node's
+    number. Its first pull, and every pull without a target (as
+    ``refiner()`` pulls), steps every operand once. A later pull with a
+    target steps each operand that misses its target from ``split``, at the
+    largest target any of its parents sets, and rounds the image outward
+    onto that target's grid; every budgeted query pulls so (see
+    ``_settle``). Each pull is one pass (``_pass``), so a shared operand
+    steps once in it.
     """
 
     operands: Tuple["Oracle", ...] = ()
@@ -171,14 +174,11 @@ class Oracle:
         locate_hint: Optional[LocateHint] = None,
         label: str = "oracle",
     ):
-        self._stream_factory = stream_factory
-        self._iter: Optional[Iterator[RInterval]] = None
         if root is not None:
             root = as_rational(root)  # its singleton is read through the slots
-        # Invariant: the cached enclosure is a singleton exactly when a root
-        # is known, and then it is the root's singleton.
+        # The cached enclosure is a point exactly when a root is known.
         self._best: Optional[RInterval] = None if root is None else _interval_raw(root, root)
-        self._root = root
+        self._iter = stream_factory() if root is None and stream_factory is not None else None
         self._locate_hint = locate_hint
         self._lock = threading.Lock()
         self.label = label
@@ -188,8 +188,9 @@ class Oracle:
 
     @property
     def root(self) -> Optional[Fraction]:
-        """The known root, or None when no root is known (not "irrational")."""
-        return self._root
+        """The point of a point enclosure, or None: no root known (not "irrational")."""
+        best = self._best
+        return best.lo if best is not None and best.is_singleton else None
 
     @property
     def enclosure(self) -> Optional[RInterval]:
@@ -200,13 +201,6 @@ class Oracle:
         return self._best
 
     # -- stream plumbing
-
-    def _discover_root(self, value: Fraction) -> None:
-        with self._lock:
-            if self._root is None:
-                # _best first: a pass and _settle read it once _root is set.
-                self._best = _interval_raw(value, value)
-                self._root = value
 
     def _pass(self, bits: Optional[int], steps: int) -> Tuple[Optional[RInterval], int]:
         """One pull: targets down, enclosures up, without recursion. Top-down
@@ -226,14 +220,16 @@ class Oracle:
             node = heappop(heap)[2]
             order.append(node)
             operands, want = node.operands, wants[node]
-            if not operands or node._root is not None or node._error is not None:
+            if not operands or node._error is not None:
                 continue
             # The node's enclosure first: once it is set, every operand's is,
             # so a pull that races another's first pull reads no None below.
             best = node._best
-            known = [op._best for op in operands]
             if best is None:
                 want = wants[node] = None  # a first pull stays exact
+            elif best.is_singleton:
+                continue
+            known = [op._best for op in operands]
             try:
                 asks = [None] * len(operands) if want is None else node.split(want + 1, *known)
             except Exception as exc:
@@ -241,7 +237,8 @@ class Oracle:
                 continue
             met = want is not None
             for op, got, ask in zip(operands, known, asks):
-                if op._root is not None or (ask is not None and precision(got) >= ask):
+                # A point meets any ask; with no ask, only a point is skipped.
+                if got is not None and (got.is_singleton if ask is None else precision(got) >= ask):
                     continue
                 met = False
                 if op not in wants:
@@ -272,7 +269,8 @@ class Oracle:
         or one an operand holds, is kept. A known root, or a stream that
         ended, steps no further."""
         with self._lock:
-            if self._root is not None or self._error is not None:
+            best = self._best
+            if self._error is not None or (best is not None and best.is_singleton):
                 return 0
             taken, operands = 0, self.operands
             try:
@@ -282,13 +280,14 @@ class Oracle:
                         if op._error is not None:
                             raise op._error
                         known.append(op._best)
-                    nxt = None if self._best is None and None in known else self.image(*known)
+                    nxt = None if best is None and None in known else self.image(*known)
                     if met and precision(nxt) < bits + 1:
-                        raise OracleError(f"split of {self.label} is met, yet {nxt} is wider than 2**-{bits + 1}")
+                        raise OracleError(f"split of {self.label} is met, yet its image of width at most "
+                                          f"2**{-precision(nxt)} is wider than 2**-{bits + 1}")
                     if bits is not None and bits >= 0 and not nxt.is_singleton:
                         wide = round_out(nxt, bits + 2)
                         if wide is not nxt:  # an exact image is nested already
-                            nxt = _meet(self._best, wide)
+                            nxt = _meet(best, wide)
                 else:
                     nxt, taken = self._leaf_step(bits, steps)
             except StopIteration:
@@ -298,16 +297,12 @@ class Oracle:
                 return 0
             if nxt is not None:
                 self._best = nxt
-                if nxt.is_singleton:
-                    self._root = nxt.lo
             return taken
 
     def _leaf_step(self, bits: Optional[int], steps: int) -> Tuple[Optional[RInterval], int]:
         it, got = self._iter, self._best
         if it is None:
-            if self._stream_factory is None:
-                return None, 0
-            it = self._iter = self._stream_factory()
+            return None, 0
         if bits is None or got is None:
             return next(it), 1
         have = precision(got)
@@ -408,8 +403,9 @@ class Oracle:
         """
         point = as_rational(point)
         answer = self._settle(_locate_verdict, point, budget.steps, exact=_hint_placement)
-        if answer is Placement.EQUAL and self._root is None:
-            self._discover_root(point)
+        if answer is Placement.EQUAL and self.root is None:
+            with self._lock:
+                self._best = _interval_raw(point, point)
         return Placement.EXHAUSTED if answer is None else answer
 
 

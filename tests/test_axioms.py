@@ -53,6 +53,13 @@ class TestGoodOracles:
         closed = next(r for r in reports if r.property_name == "Closed")
         assert closed.samples_run == 0  # no root known, nothing to check
 
+    def test_an_empty_fonsi_is_inconclusive_but_vacuously_closed(self):
+        # Nothing refines, so the sampler falls back to its grid around -1:1.
+        reports = check_axioms(oracle_from_fonsi(FonsiSource(iter([]))), 7, 50, Budget(64))
+        closed = next(r for r in reports if r.property_name == "Closed")
+        assert (closed.verdict, closed.samples_run) == (Verdict.PASSED, 0)
+        assert all(r.verdict is Verdict.INCONCLUSIVE for r in reports if r is not closed)
+
     def test_replacement_pair_agrees_with_separation(self):
         # An oracle passing Narrowing and Intersection also passes the
         # separation-derived checks on the same samples.

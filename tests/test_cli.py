@@ -192,6 +192,12 @@ class TestCommands:
         assert capsys.readouterr().out == "1; 2 2 2 2\n"
         assert code == 0
 
+    def test_cf_of_an_integer_and_of_a_rational(self, capsys):
+        assert run_command(["cf", "3"]) == 0
+        assert capsys.readouterr().out == "3\n"
+        assert run_command(["cf", "7/2"]) == 0
+        assert capsys.readouterr().out == "3; 2\n"
+
     def test_query_golden(self, capsys):
         code = run_command(["query", "sqrt(2)", "1:2"])
         assert capsys.readouterr().out == "Yes\n"
@@ -207,6 +213,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 2
         assert out.startswith("Exhausted") and "100" in out
+
+    def test_a_late_lie_names_its_region_in_a_short_error_line(self, capsys):
+        # The witness ends 2**-100 short of the number 2; at 1000 digits the
+        # enclosure that leaves it has endpoints of thousands of digits.
+        region = f"1:{2**101 - 1}/{2**100}"
+        code = run_command(["eval", f"recip(sqrt(2)*sqrt(2); {region})", "--digits", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        line = captured.err.splitlines()[0]
+        assert line.startswith("error:") and f"above the region {region}" in line
+        assert len(line) < 300
 
     def test_query_with_a_point_witness_off_the_number_exits_one(self, capsys):
         # The number is 1/(2 + 2^-100); the witness 2:2 must not root it at 1/2.

@@ -13,6 +13,7 @@ from realoracle.intervals import RInterval, interval_make
 from realoracle.oracle import (
     Budget,
     FonsiSource,
+    Oracle,
     Placement,
     QueryResult,
     clamp_to,
@@ -233,6 +234,45 @@ class TestInvariants:
         chain = list(itertools.islice(o.refiner(), 20))
         for prev, nxt in zip(chain, chain[1:]):
             assert prev.encloses(nxt)
+
+
+class TestStreamsThatEndOrNeverStart:
+    @pytest.mark.parametrize("build", [
+        lambda: oracle_from_fonsi(FonsiSource(iter([]))),
+        lambda: Oracle(None),
+    ], ids=["empty fonsi", "no stream"])
+    def test_nothing_to_pull_exhausts_at_any_budget(self, build):
+        o = build()
+        for steps in (0, 1, 10, 1000):
+            assert o.decide(interval_make(-1, 1), Budget(steps)) is QueryResult.EXHAUSTED
+            assert o.locate(F(0), Budget(steps)) is Placement.EXHAUSTED
+            assert o.refine(F(1, 2), Budget(steps)) is None
+            assert o.enclosure is None and o.root is None
+        assert list(o.refiner()) == []
+
+    def test_an_ended_stream_repeats_its_last_interval(self):
+        o = oracle_from_fonsi(FonsiSource(iter([interval_make(0, 2), interval_make(1, 3)])))
+        last = interval_make(1, 2)
+        assert list(itertools.islice(o.refiner(), 5)) == [interval_make(0, 2)] + [last] * 4
+        assert o.decide(interval_make(1, F(3, 2)), Budget(100)) is QueryResult.EXHAUSTED
+        assert o.refine(F(1, 4), Budget(100)) is None
+        assert o.enclosure == last
+
+    def test_the_stream_factory_is_called_once_at_construction(self):
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return shrinking(F(1, 3))
+
+        o = Oracle(factory)
+        assert calls == [1]
+        assert o.refine(F(1, 2**10), AMPLE) is not None
+        assert len(list(itertools.islice(o.refiner(), 3))) == 3
+        assert calls == [1]
+        rooted = Oracle(factory, root=F(1, 3))
+        assert rooted.refine(F(1, 2**10), AMPLE) == interval_make(F(1, 3), F(1, 3))
+        assert calls == [1]
 
 
 def nested_around(rng, number):

@@ -223,6 +223,83 @@ def test_successive_enclosures_are_nested():
         assert all(got.intersects(deep) for got in seen), (seed, tree.label)
 
 
+def below(oracle):
+    """The oracle and every oracle under it, each once."""
+    seen, todo = {}, [oracle]
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen:
+            seen[id(o)] = o
+            todo.extend(o.operands)
+    return seen.values()
+
+
+def assert_root_is_the_point_enclosure(oracle):
+    for o in below(oracle):
+        got = o.enclosure
+        if got is not None and got.is_singleton:
+            assert o.root == got.lo, o.label
+        else:
+            assert o.root is None, o.label
+
+
+def ask_a_seeded_mix(rng: random.Random, oracle, near: F):
+    """Decide, locate, refine and refiner steps about ``near``, at the
+    differentials' budgets; after each, a root is known exactly when the
+    enclosure is a point, everywhere in the DAG, and a known root stays."""
+    root = oracle.root
+    for _ in range(30):
+        steps = Budget(rng.choice(BUDGETS))
+        lo, hi = sorted(near + F(rng.randint(-8, 8), 2 ** rng.randint(0, 60)) for _ in range(2))
+        kind = rng.randrange(4)
+        if kind == 0:
+            oracle.decide(rng.choice((RInterval(lo, hi), RInterval(near, near))), steps)
+        elif kind == 1:
+            oracle.locate(rng.choice((lo, near)), steps)
+        elif kind == 2:
+            oracle.refine(F(1, 2 ** rng.randint(1, 80)), steps)
+        else:
+            next(oracle.refiner(), None)
+        assert_root_is_the_point_enclosure(oracle)
+        assert root is None or oracle.root == root, oracle.label
+        root = oracle.root
+
+
+def test_a_root_is_known_exactly_when_the_enclosure_is_a_point():
+    # An opaque sign's zero past its rational-root probe starts unrooted,
+    # and is rooted by its exact hint placing the zero as EQUAL.
+    z = 1 + F(1, 3**50)
+    opaque = ivt_oracle(SignFunction(lambda t: (t > z) - (t < z)), 1, 2)
+    assert opaque.root is None
+    # 0 * sqrt(2) is rooted at its first pull.
+    product = o_mul(rational_oracle(0), nth_root_oracle(2, 2))
+    assert product.root is None
+    assert next(product.refiner()) == RInterval(F(0), F(0)) and product.root == 0
+    cases = [
+        (rational_oracle(F(-3, 7)), F(-3, 7)),
+        (nth_root_oracle(3, F(8, 27)), F(2, 3)),
+        (lub_oracle(UpperBoundTest(lambda u: u >= 2, F(2), F(5))), F(2)),
+        (oracle_from_fonsi(FonsiSource((RInterval(F(5, 2) - dyadic(1, k), F(5, 2)) for k in range(10**6)),
+                                       claimed_root=F(5, 2))), F(5, 2)),
+        (opaque, z),
+        (product, F(0)),
+    ]
+    for seed, (x, number) in enumerate(cases):
+        ask_a_seeded_mix(random.Random(seed), x, number)
+        assert x.locate(number, Budget(10)) is Placement.EQUAL, x.label
+        assert x.root == number and x.enclosure == RInterval(number, number), x.label
+
+    # Zero leaves make products that are rooted at their first pull.
+    def leaf(rng):
+        return rational_oracle(0) if rng.random() < 0.2 else random_leaf_or_polyzero(rng)
+
+    for seed in range(1700, 1800):
+        depth = 1 + seed % 3
+        deep = random_tree(random.Random(seed), depth, leaf, APPLY_KINDS).refine(DEEP, Budget(10**4))
+        tree = random_tree(random.Random(seed), depth, leaf, APPLY_KINDS)
+        ask_a_seeded_mix(random.Random(seed), tree, deep.midpoint())
+
+
 def partners(seed: int, x, deep: RInterval):
     """Trees to compare with ``x``, each with an enclosure of its number at
     most 2**-400 wide and whether it equals ``x``: ``x`` itself, a second
