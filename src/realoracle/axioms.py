@@ -20,13 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .intervals import RInterval, _interval_raw, _le, _raw_fraction
 from .oracle import Budget, Oracle, QueryResult
+from .record import Record
 
 PROPERTY_NAMES = (
     "Consistency",
@@ -47,8 +47,7 @@ class Verdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """Everything needed to replay a violation."""
 
     note: str
@@ -60,8 +59,7 @@ class Counterexample:
         return f"{self.note}: {shown} (budget={self.budget.steps})"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     property_name: str
     verdict: Verdict
     samples_run: int
@@ -183,7 +181,7 @@ def _sampled(name: str, trials: _Trials, samples: int) -> AxiomReport:
         elif outcome is not None:
             return AxiomReport(name, Verdict.FALSIFIED, ran, outcome)
     verdict = Verdict.INCONCLUSIVE if ran and not decided else Verdict.PASSED
-    return AxiomReport(name, verdict, ran)
+    return AxiomReport(name, verdict, ran, None)
 
 
 def _consistency(s: _Sampler) -> _Trials:

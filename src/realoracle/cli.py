@@ -33,7 +33,6 @@ import json
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .intervals import format_rational, int_text, interval_make, parse_interval
 from .oracle import Budget, Oracle, QueryResult
+from .record import Record
 from .refine import best_approx, mediant_expand, to_decimal
 
 DEFAULT_BUDGET = 10_000
@@ -56,49 +56,41 @@ DEFAULT_BUDGET = 10_000
 
 # -- abstract syntax ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalLit:
+class RationalLit(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     index: int
     radicand: Fraction
 
 
-@dataclass(frozen=True)
-class PolyZero:
+class PolyZero(Record):
     coeffs: Tuple[Fraction, ...]
     bracket_lo: Fraction
     bracket_hi: Fraction
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     child: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Recip:
+class Recip(Record):
     child: "ExprAst"
     witness_lo: Fraction
     witness_hi: Fraction
@@ -112,11 +104,8 @@ ExprAst = Union[RationalLit, Root, PolyZero, Neg, Add, Sub, Mul, Recip]
 _SYMBOLS = "+-*/(),;:"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "name", or the symbol itself
-    text: str
-    position: int
+# A token is (kind, text, position); its kind is "int", "name", or the symbol.
+_Token = Tuple[str, str, int]
 
 
 def _tokenize(source: str) -> List[_Token]:
@@ -132,16 +121,16 @@ def _tokenize(source: str) -> List[_Token]:
             start = i
             while i < len(text) and text[i].isdecimal():
                 i += 1
-            tokens.append(_Token("int", text[start:i], start))
+            tokens.append(("int", text[start:i], start))
             continue
         if ch.isalpha():
             start = i
             while i < len(text) and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(_Token("name", text[start:i], start))
+            tokens.append(("name", text[start:i], start))
             continue
         if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
+            tokens.append((ch, ch, i))
             i += 1
             continue
         raise ExprSyntaxError(i, "a number, name, or operator", repr(ch))
@@ -159,18 +148,18 @@ class _Parser:
 
     def _here(self) -> int:
         tok = self._peek()
-        return tok.position if tok is not None else len(self.source)
+        return tok[2] if tok is not None else len(self.source)
 
     def _take(self, kind: str) -> _Token:
         tok = self._peek()
-        if tok is None or tok.kind != kind:
-            raise ExprSyntaxError(self._here(), repr(kind), tok.text if tok else "end of input")
+        if tok is None or tok[0] != kind:
+            raise ExprSyntaxError(self._here(), repr(kind), tok[1] if tok else "end of input")
         self.pos += 1
         return tok
 
     def _accept(self, kind: str) -> Optional[_Token]:
         tok = self._peek()
-        if tok is not None and tok.kind == kind:
+        if tok is not None and tok[0] == kind:
             self.pos += 1
             return tok
         return None
@@ -179,18 +168,18 @@ class _Parser:
     def _rational(self, divisor: bool = False) -> Fraction:
         negative = self._accept("-") is not None
         whole = self._take("int")
-        value = Fraction(int(whole.text))
+        value = Fraction(int(whole[1]))
         # Take "/" only when an integer follows, so term-level division of
         # non-literals still reaches the fold with its hint, and not in a
         # divisor, so "x/2/3" is "(x/2)/3" as "1/2/3" is.
         nxt = self._peek()
         after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if not divisor and nxt is not None and nxt.kind == "/" and after is not None and after.kind == "int":
+        if not divisor and nxt is not None and nxt[0] == "/" and after is not None and after[0] == "int":
             self.pos += 1
             den_tok = self._take("int")
-            den = int(den_tok.text)
+            den = int(den_tok[1])
             if den == 0:
-                raise ExprSemanticError(f"zero denominator at position {den_tok.position}")
+                raise ExprSemanticError(f"zero denominator at position {den_tok[2]}")
             value = Fraction(value.numerator, den)
         return -value if negative else value
 
@@ -198,7 +187,7 @@ class _Parser:
         node = self._expr()
         tok = self._peek()
         if tok is not None:
-            raise ExprSyntaxError(tok.position, "end of input", tok.text)
+            raise ExprSyntaxError(tok[2], "end of input", tok[1])
         return node
 
     def _expr(self) -> ExprAst:
@@ -250,23 +239,24 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise ExprSyntaxError(self._here(), "an expression", "end of input")
-        if tok.kind == "int":
+        kind, text, at = tok
+        if kind == "int":
             return RationalLit(self._rational(divisor))
-        if tok.kind == "(":
+        if kind == "(":
             self.pos += 1
             inner = self._expr()
             self._take(")")
             return inner
-        if tok.kind == "name":
-            return self._call(tok)
-        raise ExprSyntaxError(tok.position, "a rational, '(', or a function name", tok.text)
+        if kind == "name":
+            return self._call(text, at)
+        raise ExprSyntaxError(at, "a rational, '(', or a function name", text)
 
-    def _call(self, name: _Token) -> ExprAst:
+    def _call(self, name: str, at: int) -> ExprAst:
         self.pos += 1
-        if name.text in ("sqrt", "root"):
+        if name in ("sqrt", "root"):
             self._take("(")
             index = 2
-            if name.text == "root":
+            if name == "root":
                 index = self._rational()
                 self._take(",")
             radicand = self._rational()
@@ -279,7 +269,7 @@ class _Parser:
                 raise ExprSemanticError(
                     f"root radicand must be a positive rational, got {format_rational(radicand)}")
             return Root(int(index), radicand)
-        if name.text == "polyzero":
+        if name == "polyzero":
             self._take("(")
             coeffs = [self._rational()]
             while self._accept(","):
@@ -296,17 +286,17 @@ class _Parser:
             if s_lo != 0 and s_lo == s_hi:
                 raise ExprSemanticError(f"polyzero bracket has the same strict sign ({s_lo:+d}) at both ends")
             return PolyZero(tuple(coeffs), lo, hi)
-        if name.text == "recip":
+        if name == "recip":
             self._take("(")
             child = self._expr()
             if not self._accept(";"):
-                raise ExprSemanticError(f"recip at position {name.position} needs a witness: recip(expr; lo:hi)")
+                raise ExprSemanticError(f"recip at position {at} needs a witness: recip(expr; lo:hi)")
             wit_lo = self._rational()
             self._take(":")
             wit_hi = self._rational()
             self._take(")")
             return Recip(child, wit_lo, wit_hi)
-        raise ExprSyntaxError(name.position, "sqrt, root, polyzero, or recip", name.text)
+        raise ExprSyntaxError(at, "sqrt, root, polyzero, or recip", name)
 
 
 # -- one walk over the tree ---------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -26,6 +25,7 @@ from .intervals import (
     format_rational,
 )
 from .oracle import LocateHint, Oracle, Placement, _meet, _stern_brocot
+from .record import Record
 
 # Stern-Brocot mediants probed, after the floor of the bracket, when hunting
 # a rational root of a zero of an opaque sign. Enough for shallow roots like
@@ -171,8 +171,7 @@ def nth_root_oracle(n: int, q: RationalLike) -> Oracle:
     )
 
 
-@dataclass(frozen=True)
-class SignFunction:
+class SignFunction(Record):
     """An exactly evaluable sign rule: returns -1, 0, or +1 at any rational.
 
     ``coeffs`` holds a polynomial's coefficients (low to high) when the rule
@@ -443,8 +442,7 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     )
 
 
-@dataclass(frozen=True)
-class CauchySpec:
+class CauchySpec(Record):
     """A Cauchy sequence with an explicit modulus of convergence.
 
     ``modulus(eps)`` returns an index N such that any two terms at indices
@@ -504,8 +502,7 @@ def cauchy_oracle(spec: CauchySpec) -> Oracle:
     return Oracle(lambda: _CauchyTail(spec), root=limit, label=label)
 
 
-@dataclass(frozen=True)
-class UpperBoundTest:
+class UpperBoundTest(Record):
     """A nonempty set bounded above, described by a monotone test.
 
     ``is_ub(u)`` decides whether u bounds the set from above; it must be

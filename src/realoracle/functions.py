@@ -10,7 +10,6 @@ argument's refinement stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
@@ -18,16 +17,15 @@ from .constructors import rational_oracle
 from .errors import DomainEscape, OracleError, ZeroInDenominator
 from .intervals import RInterval, _le, _q_mul, as_rational, dyadic, format_rational, precision, target_bits
 from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Record):
     base: RInterval
     wall: RInterval
 
 
-@dataclass(frozen=True)
-class FunctionOracle:
+class FunctionOracle(Record):
     """A function presented at interval level.
 
     ``extension`` maps a base interval to an enclosure of its true image;
@@ -188,7 +186,7 @@ def poly_extension(coeffs) -> FunctionOracle:
         return width / slope
 
     terms = ", ".join(format_rational(c) for c in cs)
-    return FunctionOracle(extension, modulus, point=point, description=f"poly[{terms}]")
+    return FunctionOracle(extension, modulus, point, None, f"poly[{terms}]")
 
 
 def recip_extension(domain: RInterval) -> FunctionOracle:
@@ -212,10 +210,4 @@ def recip_extension(domain: RInterval) -> FunctionOracle:
             raise ValueError("target width must be positive")
         return _q_mul(as_rational(width), least_sq)
 
-    return FunctionOracle(
-        extension,
-        modulus,
-        point=point,
-        domain=domain,
-        description=f"recip[{domain}]",
-    )
+    return FunctionOracle(extension, modulus, point, domain, "recip")

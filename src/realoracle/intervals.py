@@ -29,7 +29,6 @@ coerce other rationals with ``as_rational`` first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -37,6 +36,7 @@ from math import gcd, inf
 from typing import Optional, Tuple, Union
 
 from .errors import ZeroInDenominator
+from .record import Record
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -258,8 +258,7 @@ class ArithOp(Enum):
     RECIP = "recip"
 
 
-@dataclass(frozen=True)
-class RInterval:
+class RInterval(Record):
     """Inclusive rational interval. ``lo == hi`` is a singleton.
 
     Direct construction requires ``lo <= hi``; use :func:`interval_make`
@@ -269,12 +268,12 @@ class RInterval:
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        lo, hi = as_rational(self.lo), as_rational(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: RationalLike, hi: RationalLike):
+        lo, hi = as_rational(lo), as_rational(hi)
         if not _le(lo, hi):
             raise ValueError(f"misordered interval endpoints: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     # -- structure
 

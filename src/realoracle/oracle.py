@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -76,6 +75,7 @@ from .intervals import (
     round_out,
     target_bits,
 )
+from .record import Record
 
 LocateHint = Callable[[Fraction], "Optional[Placement]"]
 
@@ -114,8 +114,7 @@ def _stern_brocot(place: LocateHint, floor: int) -> Iterator[Tuple[int, int, Opt
             ph, qh = p, q
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Cap on refinement rounds for one query: a nonnegative integer."""
 
     steps: int
@@ -129,8 +128,7 @@ class Budget:
             raise ValueError("budget steps must be nonnegative")
 
 
-@dataclass
-class FonsiSource:
+class FonsiSource(Record):
     """A family of overlapping, notionally shrinking intervals.
 
     ``enumerator`` yields intervals that pairwise intersect and become
@@ -291,7 +289,7 @@ class Oracle:
                 else:
                     nxt, taken = self._leaf_step(bits, steps)
             except StopIteration:
-                nxt = None
+                nxt, self._iter = None, None
             except Exception as exc:
                 self._error = exc
                 return 0
@@ -315,6 +313,8 @@ class Oracle:
         for taken, got in enumerate(it, 1):
             if taken == steps or precision(got) >= bits:
                 break
+        else:
+            self._iter = None  # the stream ended
         return got, taken
 
     def _settle(
@@ -334,8 +334,8 @@ class Oracle:
         (computed at the first pull) while the enclosure misses it, else
         gallop ``gain`` bits past its precision, ``gain`` starting at 8,
         doubling, and capped by the steps left. So a question that needs d
-        bits takes about log2(d) pulls. Raises the stream's error once it
-        has raised one."""
+        bits takes about log2(d) pulls, and a leaf whose stream ended pulls
+        no more. Raises the stream's error once it has raised one."""
         if self._error is not None:
             raise self._error
         known, bits, gain = self._best, None, 8
@@ -349,13 +349,13 @@ class Oracle:
                 if answer is not None:
                     return answer
                 exact = None
-            if steps <= 0:
+            if steps <= 0 or self._iter is None and not self.operands:
                 return None
             if aim is not None:
                 bits, aim = aim(query), None
             goal = bits
             if known is not None and (bits is None or precision(known) >= bits):
-                goal = precision(known) + min(gain, steps)
+                goal = precision(known) + (gain := min(gain, steps))
                 gain *= 2
             known, used = self._pass(goal, steps)
             steps -= used

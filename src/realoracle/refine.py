@@ -9,17 +9,16 @@ certified decimal output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import BudgetExhausted, OracleError
 from .intervals import RInterval, int_text, target_bits
 from .oracle import Budget, Oracle, Placement, QueryResult, _stern_brocot
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(Record):
     """A continued-fraction prefix with its convergents.
 
     ``terms[0]`` may be any integer, later terms are at least 1.
@@ -160,8 +159,7 @@ def best_approx(oracle: Oracle, max_denominator: int, budget: Budget) -> Fractio
     return min(low, high, key=lambda f: (f.denominator, f.numerator))
 
 
-@dataclass(frozen=True)
-class DecimalEnclosure:
+class DecimalEnclosure(Record):
     """A printed decimal with a certified error bound.
 
     The digits are the floor of the value at the last place, so the number

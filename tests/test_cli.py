@@ -223,7 +223,7 @@ class TestCommands:
         assert code == 1 and captured.out == ""
         line = captured.err.splitlines()[0]
         assert line.startswith("error:") and f"above the region {region}" in line
-        assert len(line) < 300
+        assert line.count(region) == 1 and len(line) < 300
 
     def test_query_with_a_point_witness_off_the_number_exits_one(self, capsys):
         # The number is 1/(2 + 2^-100); the witness 2:2 must not root it at 1/2.

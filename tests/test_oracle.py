@@ -258,6 +258,22 @@ class TestStreamsThatEndOrNeverStart:
         assert o.refine(F(1, 4), Budget(100)) is None
         assert o.enclosure == last
 
+    @pytest.mark.parametrize("query", [
+        lambda o, budget: o.decide(interval_make(1, F(3, 2)), budget),
+        lambda o, budget: o.locate(F(3, 2), budget),
+        lambda o, budget: o.refine(F(1, 4), budget),
+    ], ids=["decide", "locate", "refine"])
+    def test_a_query_on_an_ended_stream_stops_at_once(self, monkeypatch, query):
+        # Each pass past the end takes nothing, so no budget buys more.
+        passes = []
+        counted = Oracle._pass
+        monkeypatch.setattr(Oracle, "_pass", lambda self, *args: passes.append(args) or counted(self, *args))
+        o = oracle_from_fonsi(FonsiSource(iter([interval_make(0, 2), interval_make(1, 3)])))
+        assert query(o, Budget(10**5)) in (QueryResult.EXHAUSTED, Placement.EXHAUSTED, None)
+        assert len(passes) <= 3 and o.enclosure == interval_make(1, 2)
+        assert query(o, Budget(10**5)) in (QueryResult.EXHAUSTED, Placement.EXHAUSTED, None)
+        assert len(passes) <= 3
+
     def test_the_stream_factory_is_called_once_at_construction(self):
         calls = []
 

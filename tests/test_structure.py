@@ -41,6 +41,12 @@ def test_only_intervals_module_knows_the_endpoint_layout():
     assert offenders("intervals.py", r"\._(numerator|denominator)\b|object\.__new__") == []
 
 
+def test_no_module_imports_dataclasses():
+    # Value classes derive from record.Record, which generates no code, so
+    # importing the package stays cheap for a CLI run in a fresh process.
+    assert offenders(None, r"^\s*(from|import)\s+dataclasses\b") == []
+
+
 def test_no_module_rebinds_a_variable_of_an_enclosing_function():
     # State kept between calls lives in objects, not in closures: node
     # images are pure functions of their operands' enclosures.
