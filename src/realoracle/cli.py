@@ -22,8 +22,8 @@ endpoints. ``recip``'s zero-free witness ``lo:hi`` is trusted: it is checked
 only by a bounded query and by later refinements, and a one-point witness
 needs an exactly known operand. Division by a rational literal is exact,
 left to right; division by a compound expression is rejected with a hint to
-use ``recip`` with a witness interval. Trees are walked without recursion
-(``_fold``); only the parser recurses, on parentheses and ``recip(``.
+use ``recip`` with a witness interval. Nothing recurses: the parser is one
+loop over an explicit stack, and trees are walked by ``_fold``.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ ExprAst = Union[RationalLit, Root, PolyZero, Neg, Add, Sub, Mul, Recip]
 _SYMBOLS = "+-*/(),;:"
 
 
-# A token is (kind, text, position); its kind is "int", "name", or the symbol.
+# A token is (kind, text, position); its kind is "int", "name", the symbol,
+# or "end" for the one token that ends every list, "end of input".
 _Token = Tuple[str, str, int]
 
 
@@ -134,47 +135,63 @@ def _tokenize(source: str) -> List[_Token]:
             i += 1
             continue
         raise ExprSyntaxError(i, "a number, name, or operator", repr(ch))
+    tokens.append(("end", "end of input", len(text)))
     return tokens
+
+
+# An operand: a node and its constant value, or None when it has none.
+_Operand = Tuple[ExprAst, Optional[Fraction]]
+
+_INFIX = {"+": (Add, operator.add), "-": (Sub, operator.sub), "*": (Mul, operator.mul)}
+
+
+def _reduce(op: str, left: _Operand, right: _Operand, at: int) -> _Operand:
+    """``left op right``. A division must have a nonzero constant divisor,
+    which starts at position ``at``; it folds a constant dividend, and
+    otherwise multiplies by the divisor's reciprocal."""
+    node, value = left
+    other, divisor = right
+    if op != "/":
+        cls, exact = _INFIX[op]
+        return cls(node, other), None if value is None or divisor is None else exact(value, divisor)
+    if divisor is None:
+        raise ExprSemanticError(f"division by a non-literal expression at position {at}; "
+                                "use recip(expr; lo:hi) with a zero-free witness interval")
+    if divisor == 0:
+        raise ExprSemanticError(f"division by zero at position {at}")
+    if value is None:
+        return Mul(node, RationalLit(1 / divisor)), None
+    value /= divisor
+    return RationalLit(value), value
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
 
-    def _peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _here(self) -> int:
-        tok = self._peek()
-        return tok[2] if tok is not None else len(self.source)
-
     def _take(self, kind: str) -> _Token:
-        tok = self._peek()
-        if tok is None or tok[0] != kind:
-            raise ExprSyntaxError(self._here(), repr(kind), tok[1] if tok else "end of input")
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ExprSyntaxError(tok[2], repr(kind), tok[1])
         self.pos += 1
         return tok
 
-    def _accept(self, kind: str) -> Optional[_Token]:
-        tok = self._peek()
-        if tok is not None and tok[0] == kind:
+    def _accept(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] == kind:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
     # RATIONAL := ["-"] INT ["/" INT]
     def _rational(self, divisor: bool = False) -> Fraction:
-        negative = self._accept("-") is not None
-        whole = self._take("int")
-        value = Fraction(int(whole[1]))
-        # Take "/" only when an integer follows, so term-level division of
-        # non-literals still reaches the fold with its hint, and not in a
-        # divisor, so "x/2/3" is "(x/2)/3" as "1/2/3" is.
-        nxt = self._peek()
-        after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if not divisor and nxt is not None and nxt[0] == "/" and after is not None and after[0] == "int":
+        negative = self._accept("-")
+        value = Fraction(int(self._take("int")[1]))
+        # Take "/" only when an integer follows, so division of non-literals
+        # still reaches _reduce with its hint, and not in a divisor, so
+        # "x/2/3" is "(x/2)/3" as "1/2/3" is.
+        tokens, pos = self.tokens, self.pos
+        if not divisor and tokens[pos][0] == "/" and tokens[pos + 1][0] == "int":
             self.pos += 1
             den_tok = self._take("int")
             den = int(den_tok[1])
@@ -184,72 +201,72 @@ class _Parser:
         return -value if negative else value
 
     def parse(self) -> ExprAst:
-        node = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ExprSyntaxError(tok[2], "end of input", tok[1])
-        return node
-
-    def _expr(self) -> ExprAst:
-        node = self._term()
+        """One loop over the tokens, without recursion. A frame is one open
+        "(" or "recip(", or the whole input: what opened it (its token, or
+        None), the unary minuses before the operand it waits for, the sum so
+        far with its pending "+" or "-", and the product so far with its
+        pending "*" or "/" (and where the divisor starts). An operand is a
+        node and its constant value, or None when it has none, so each
+        operator reduces once, as soon as its right operand is complete."""
+        tokens = self.tokens
+        frames: List[tuple] = []
+        opener, negations, total, add, product, mul, at = None, 0, None, None, None, None, 0
         while True:
-            if self._accept("+"):
-                node = Add(node, self._term())
-            elif self._accept("-"):
-                node = Sub(node, self._term())
+            while self._accept("-"):
+                negations += 1
+            tok = tokens[self.pos]
+            kind, text, where = tok
+            if kind == "(" or kind == "name" and text == "recip":
+                self.pos += 1
+                if kind == "name":
+                    self._take("(")
+                frames.append((opener, negations, total, add, product, mul, at))
+                opener, negations, total, add, product, mul = tok, 0, None, None, None, None
+                continue
+            if kind == "int":
+                value = self._rational(divisor=mul == "/")
+                operand = RationalLit(value), value
+            elif kind == "name":
+                operand = self._call(text, where), None
+            elif kind == "end":
+                raise ExprSyntaxError(where, "an expression", text)
             else:
-                return node
-
-    def _term(self) -> ExprAst:
-        node = self._factor()
-        # The term's constant value (None if it has none) and the factors not
-        # yet in it: a division walks each factor once, and only then.
-        value, unwalked = 1, [node]
-        while True:
-            if self._accept("*"):
-                unwalked.append(self._factor())
-                node = Mul(node, unwalked[-1])
-            elif self._accept("/"):
-                at = self._here()
-                divisor = _constant_value(self._factor(divisor=True))
-                if divisor is None:
-                    raise ExprSemanticError(f"division by a non-literal expression at position {at}; "
-                                            "use recip(expr; lo:hi) with a zero-free witness interval")
-                if divisor == 0:
-                    raise ExprSemanticError(f"division by zero at position {at}")
-                for factor in unwalked:
-                    other = None if value is None else _constant_value(factor)
-                    value = None if other is None else value * other
-                unwalked = []
-                value = None if value is None else value / divisor
-                node = Mul(node, RationalLit(1 / divisor)) if value is None else RationalLit(value)
-            else:
-                return node
-
-    def _factor(self, divisor: bool = False) -> ExprAst:
-        negations = 0
-        while self._accept("-"):
-            negations += 1
-        node = self._atom(divisor)
-        while negations:
-            node, negations = Neg(node), negations - 1
-        return node
-
-    def _atom(self, divisor: bool = False) -> ExprAst:
-        tok = self._peek()
-        if tok is None:
-            raise ExprSyntaxError(self._here(), "an expression", "end of input")
-        kind, text, at = tok
-        if kind == "int":
-            return RationalLit(self._rational(divisor))
-        if kind == "(":
-            self.pos += 1
-            inner = self._expr()
-            self._take(")")
-            return inner
-        if kind == "name":
-            return self._call(text, at)
-        raise ExprSyntaxError(at, "a rational, '(', or a function name", text)
+                raise ExprSyntaxError(where, "a rational, '(', or a function name", text)
+            while True:  # the operand is complete: reduce, then read an operator
+                if negations:
+                    node, value = operand
+                    for _ in range(negations):
+                        node = Neg(node)
+                    if negations % 2 and value is not None:
+                        value = -value
+                    operand, negations = (node, value), 0
+                product = operand if mul is None else _reduce(mul, product, operand, at)
+                kind, text, where = tokens[self.pos]
+                if kind == "*" or kind == "/":
+                    self.pos += 1
+                    mul, at = kind, tokens[self.pos][2]
+                    break
+                total = product if add is None else _reduce(add, total, product, at)
+                if kind == "+" or kind == "-":
+                    self.pos += 1
+                    add, mul = kind, None
+                    break
+                if opener is None:
+                    if kind != "end":
+                        raise ExprSyntaxError(where, "end of input", text)
+                    return total[0]
+                if opener[0] == "(":
+                    self._take(")")
+                    operand = total
+                else:
+                    if not self._accept(";"):
+                        raise ExprSemanticError(f"recip at position {opener[2]} needs a witness: recip(expr; lo:hi)")
+                    wit_lo = self._rational()
+                    self._take(":")
+                    wit_hi = self._rational()
+                    self._take(")")
+                    operand = Recip(total[0], wit_lo, wit_hi), None
+                opener, negations, total, add, product, mul, at = frames.pop()
 
     def _call(self, name: str, at: int) -> ExprAst:
         self.pos += 1
@@ -286,16 +303,6 @@ class _Parser:
             if s_lo != 0 and s_lo == s_hi:
                 raise ExprSemanticError(f"polyzero bracket has the same strict sign ({s_lo:+d}) at both ends")
             return PolyZero(tuple(coeffs), lo, hi)
-        if name == "recip":
-            self._take("(")
-            child = self._expr()
-            if not self._accept(";"):
-                raise ExprSemanticError(f"recip at position {at} needs a witness: recip(expr; lo:hi)")
-            wit_lo = self._rational()
-            self._take(":")
-            wit_hi = self._rational()
-            self._take(")")
-            return Recip(child, wit_lo, wit_hi)
         raise ExprSyntaxError(at, "sqrt, root, polyzero, or recip", name)
 
 
@@ -325,22 +332,6 @@ def _fold(node: ExprAst, visit: Dict[type, Callable[..., Any]]) -> Any:
         del values[first:]
         values.append(visit[type(node)](node, *kids))
     return values[0]
-
-
-def _exact(op: Callable[[Fraction, Fraction], Fraction]) -> Callable[..., Optional[Fraction]]:
-    return lambda _, left, right: None if left is None or right is None else op(left, right)
-
-
-_CONSTANT = {
-    RationalLit: lambda node: node.value,
-    Neg: lambda _, child: None if child is None else -child,
-    Add: _exact(operator.add), Sub: _exact(operator.sub), Mul: _exact(operator.mul),
-    Root: lambda _: None, PolyZero: lambda _: None, Recip: lambda _, child: None,
-}
-
-
-def _constant_value(node: ExprAst) -> Optional[Fraction]:
-    return _fold(node, _CONSTANT)
 
 
 def parse_expr(text: str) -> ExprAst:
@@ -535,7 +526,7 @@ def run_command(argv: Sequence[str]) -> int:
     except BudgetExhausted as stop:
         print(f"budget exhausted: {stop}", file=sys.stderr)
         return 2
-    except (OracleError, ValueError, RecursionError) as failure:
+    except (OracleError, ValueError) as failure:
         print(f"error: {failure}", file=sys.stderr)
         return 1
 

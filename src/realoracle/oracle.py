@@ -208,8 +208,8 @@ class Oracle:
         else asks by ``split(want + 1)``; only an operand that misses what
         it is asked gets a want. Then each oracle that got one steps once,
         bottom-up, given it. Returns the new enclosure and the charge (the
-        furthest a leaf went, at least 1), and raises the error the pass left
-        on this oracle."""
+        furthest a leaf went, 0 when none took anything), and raises the
+        error the pass left on this oracle."""
         wants = {self: bits}
         checked = set()  # nodes whose split is met: their images are checked
         heap = [(-self._height, id(self), self)]
@@ -246,7 +246,7 @@ class Oracle:
                     wants[op] = ask
             if met:
                 checked.add(node)
-        used = 1
+        used = 0
         for oracle in order[::-1]:
             taken = oracle._pull(wants[oracle], steps, oracle in checked)
             if taken > used:
@@ -334,8 +334,11 @@ class Oracle:
         (computed at the first pull) while the enclosure misses it, else
         gallop ``gain`` bits past its precision, ``gain`` starting at 8,
         doubling, and capped by the steps left. So a question that needs d
-        bits takes about log2(d) pulls, and a leaf whose stream ended pulls
-        no more. Raises the stream's error once it has raised one."""
+        bits takes about log2(d) pulls. A pass is charged at least one step;
+        one that took nothing from a leaf and left the enclosure as it was
+        ends the loop, so a query over streams that ended stops at once, and
+        a leaf whose stream ended pulls no more. Raises the stream's error
+        once it has raised one."""
         if self._error is not None:
             raise self._error
         known, bits, gain = self._best, None, 8
@@ -357,10 +360,11 @@ class Oracle:
             if known is not None and (bits is None or precision(known) >= bits):
                 goal = precision(known) + (gain := min(gain, steps))
                 gain *= 2
+            before = known
             known, used = self._pass(goal, steps)
-            steps -= used
-            if known is None:
+            if known is None or not used and known == before:
                 return None
+            steps -= used or 1
 
     def refiner(self) -> Iterator[RInterval]:
         """Infinite stream of successively narrower Yes intervals. Each step

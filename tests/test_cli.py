@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,44 @@ from realoracle.cli import (
 from realoracle.errors import ExprSemanticError, ExprSyntaxError
 from realoracle.intervals import interval_make
 from realoracle.oracle import FonsiSource, oracle_from_fonsi
+
+
+NON_LITERAL = "; use recip(expr; lo:hi) with a zero-free witness interval"
+
+# Malformed input, the error's class, its exact text, and its position
+# (semantic errors carry none).
+PARSE_ERRORS = [
+    ("", ExprSyntaxError, "syntax error at position 0: expected an expression, found end of input", 0),
+    ("1 +", ExprSyntaxError, "syntax error at position 3: expected an expression, found end of input", 3),
+    ("-", ExprSyntaxError, "syntax error at position 1: expected an expression, found end of input", 1),
+    ("1/", ExprSyntaxError, "syntax error at position 2: expected an expression, found end of input", 2),
+    (")", ExprSyntaxError, "syntax error at position 0: expected a rational, '(', or a function name, found )", 0),
+    ("1 + (2 * (3 - )", ExprSyntaxError,
+     "syntax error at position 14: expected a rational, '(', or a function name, found )", 14),
+    ("1 2", ExprSyntaxError, "syntax error at position 2: expected end of input, found 2", 2),
+    ("(1, 2)", ExprSyntaxError, "syntax error at position 2: expected ')', found ,", 2),
+    ("(1", ExprSyntaxError, "syntax error at position 2: expected ')', found end of input", 2),
+    ("sqrt(2", ExprSyntaxError, "syntax error at position 6: expected ')', found end of input", 6),
+    ("sqrt", ExprSyntaxError, "syntax error at position 4: expected '(', found end of input", 4),
+    ("root(2; 3)", ExprSyntaxError, "syntax error at position 6: expected ',', found ;", 6),
+    ("recip(1)", ExprSemanticError, "recip at position 0 needs a witness: recip(expr; lo:hi)", None),
+    ("recip(1, 2)", ExprSemanticError, "recip at position 0 needs a witness: recip(expr; lo:hi)", None),
+    ("recip(1; 1)", ExprSyntaxError, "syntax error at position 10: expected ':', found )", 10),
+    ("recip(sqrt(2); 1:2", ExprSyntaxError, "syntax error at position 18: expected ')', found end of input", 18),
+    ("2/sqrt(2)", ExprSemanticError, "division by a non-literal expression at position 2" + NON_LITERAL, None),
+    ("sqrt(2)/-(sqrt(3))", ExprSemanticError, "division by a non-literal expression at position 8" + NON_LITERAL,
+     None),
+    ("1/(2 - 2)", ExprSemanticError, "division by zero at position 2", None),
+    ("4/(1 - 1/2)/0", ExprSemanticError, "division by zero at position 12", None),
+    ("3/0", ExprSemanticError, "zero denominator at position 2", None),
+    ("1/(1/0)", ExprSemanticError, "zero denominator at position 5", None),
+    ("recip(sqrt(2); 1/0:2)", ExprSemanticError, "zero denominator at position 17", None),
+    ("1 $ 2", ExprSyntaxError, "syntax error at position 2: expected a number, name, or operator, found '$'", 2),
+    ("foo(1)", ExprSyntaxError, "syntax error at position 0: expected sqrt, root, polyzero, or recip, found foo", 0),
+    ("root(5/2, 2)", ExprSemanticError, "root index must be an integer, got 5/2", None),
+    ("sqrt(-1)", ExprSemanticError, "root radicand must be a positive rational, got -1", None),
+    ("polyzero(1; 2, 1)", ExprSemanticError, "polyzero bracket needs lo < hi", None),
+]
 
 
 class TestParse:
@@ -74,20 +113,14 @@ class TestParse:
         assert parse_expr("3" + "/2" * 5000) == RationalLit(F(3, 2**5000))
         assert parse_expr("2" + " * 2" * 4999 + "/2" * 5000) == RationalLit(F(1))
 
-    def test_a_division_chain_walks_each_factor_once(self, monkeypatch):
-        visits = []
-
-        def counted(visit):
-            def count(node, *kids):
-                visits.append(node)
-                return visit(node, *kids)
-            return count
-
-        monkeypatch.setattr(cli, "_CONSTANT", {cls: counted(visit) for cls, visit in cli._CONSTANT.items()})
+    def test_a_division_chain_reduces_once_per_operator(self, monkeypatch):
+        reductions = []
+        reduce = cli._reduce
+        monkeypatch.setattr(cli, "_reduce", lambda *args: reductions.append(args[0]) or reduce(*args))
         for n in (1000, 5000):
-            visits.clear()
+            reductions.clear()
             parse_expr("sqrt(2)" + "/2" * n)
-            assert len(visits) <= 2 * n
+            assert reductions == ["/"] * n
 
     def test_a_run_of_unary_minus(self):
         node = parse_expr("-" * 2000 + "1")
@@ -122,6 +155,14 @@ class TestParse:
 
     def test_decimal_digits_of_any_script(self):
         assert parse_expr("1 + ٣") == Add(RationalLit(F(1)), RationalLit(F(3)))
+
+    @pytest.mark.parametrize("text,error,message,position", PARSE_ERRORS)
+    def test_an_error_gives_its_class_text_and_position(self, text, error, message, position):
+        with pytest.raises(error) as err:
+            parse_expr(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert getattr(err.value, "position", None) == position
 
     def test_precedence(self):
         got = parse_expr("1 + 2 * 3")
@@ -164,7 +205,7 @@ class TestRoundTrip:
             assert parse_expr(format_expr(ast)) == ast
 
     def test_a_5000_term_tree_prints_back_to_its_text(self):
-        # Dataclass == recurses, so the deep trees are compared as text.
+        # `Record` == recurses, so the deep trees are compared as text.
         rng = random.Random(7)
         ast = random_ast(rng, 2)
         operands = [Root(2, F(3)), Neg(Root(3, F(2))), Mul(RationalLit(F(2)), Root(2, F(5))), RationalLit(F(1, 7))]
@@ -178,6 +219,15 @@ class TestRoundTrip:
         for walk in (format_expr, build_oracle):
             with pytest.raises(TypeError, match="unknown node 'x'"):
                 walk(Add(RationalLit(F(1)), "x"))
+
+
+def nested_recip(depth):
+    """``depth`` recip( around sqrt(2), the witnesses alternating 1:2 and
+    1/2:1, so an even depth is sqrt(2) again."""
+    expr = "sqrt(2)"
+    for level in range(depth):
+        expr = f"recip({expr}; {'1/2:1' if level % 2 else '1:2'})"
+    return expr
 
 
 class TestCommands:
@@ -279,14 +329,22 @@ class TestCommands:
         assert run_command(["eval", "sqrt(²)"]) == 1
         assert capsys.readouterr().err.startswith("error: syntax error at position 5")
 
-    # At the default recursion limit 400 nested parentheses overflow the
-    # parser, which recurses on parentheses. Nothing else recurses.
-    @pytest.mark.parametrize("expr", ["(" * 400 + "1" + ")" * 400], ids=["parentheses"])
-    def test_too_deep_an_expression_exits_one(self, expr, capsys):
-        assert run_command(["eval", expr]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: maximum recursion depth exceeded")
+    @pytest.mark.parametrize(
+        "expr,out",
+        [
+            ("(" * 400 + "1" + ")" * 400, "1.0000000000 ± 1e-10 (exact)\n"),
+            ("(" * 10**5 + "1" + ")" * 10**5, "1.0000000000 ± 1e-10 (exact)\n"),
+            (nested_recip(300), "1.4142135623 ± 1e-10\n"),
+            ("-" * 10**5 + "1", "1.0000000000 ± 1e-10 (exact)\n"),
+        ],
+        ids=["parentheses-400", "parentheses-100000", "recip-300", "minus-100000"],
+    )
+    def test_nesting_of_any_depth_evaluates(self, expr, out, capsys):
+        # The parser keeps its open frames on a list, so at the default
+        # recursion limit no depth of nesting meets it.
+        assert sys.getrecursionlimit() == 1000
+        assert run_command(["eval", expr]) == 0
+        assert capsys.readouterr().out == out
 
     def test_a_long_sum_evaluates(self, capsys):
         assert run_command(["eval", " + ".join(["sqrt(2)"] * 600)]) == 0

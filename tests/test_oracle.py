@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from realoracle.arithmetic import compare, o_add, o_neg
+from realoracle.arithmetic import compare, o_add, o_mul, o_neg
 from realoracle.constructors import SignFunction, UpperBoundTest, ivt_oracle, lub_oracle, nth_root_oracle, rational_oracle
 from realoracle.errors import InvalidFonsi
 from realoracle.intervals import RInterval, interval_make
@@ -273,6 +273,41 @@ class TestStreamsThatEndOrNeverStart:
         assert len(passes) <= 3 and o.enclosure == interval_make(1, 2)
         assert query(o, Budget(10**5)) in (QueryResult.EXHAUSTED, Placement.EXHAUSTED, None)
         assert len(passes) <= 3
+
+    @pytest.mark.parametrize("query", [
+        lambda o, budget: o.decide(interval_make(2, F(5, 2)), budget),
+        lambda o, budget: o.locate(F(5, 2), budget),
+        lambda o, budget: o.refine(F(1, 4), budget),
+    ], ids=["decide", "locate", "refine"])
+    def test_a_query_on_a_node_over_an_ended_stream_stops_at_once(self, monkeypatch, query):
+        # A pass that takes nothing from a leaf and leaves the node's
+        # enclosure as it was is charged nothing and ends the query.
+        passes = []
+        counted = Oracle._pass
+        monkeypatch.setattr(Oracle, "_pass", lambda self, *args: passes.append(args) or counted(self, *args))
+        leaf = oracle_from_fonsi(FonsiSource(iter([interval_make(0, 2), interval_make(1, 3)])))
+        node = o_add(leaf, rational_oracle(1))
+        assert query(node, Budget(10**5)) in (QueryResult.EXHAUSTED, Placement.EXHAUSTED, None)
+        assert len(passes) <= 3 and node.enclosure == interval_make(2, 3)
+
+    def test_a_node_over_a_leaf_refined_elsewhere_still_answers(self, monkeypatch):
+        leaf = nth_root_oracle(2, 2)
+        stale = o_add(leaf, rational_oracle(1))
+        assert stale.refine(F(1, 2), AMPLE) is not None
+        assert o_mul(leaf, rational_oracle(2)).refine(F(1, 2**60), AMPLE) is not None
+        # The leaf meets every ask, so a pass on the stale node takes nothing
+        # from it, yet the node's image narrows, so the query goes on.
+        charges = []
+        counted = Oracle._pass
+
+        def counting(self, *args):
+            known, used = counted(self, *args)
+            charges.append(used)
+            return known, used
+
+        monkeypatch.setattr(Oracle, "_pass", counting)
+        assert stale.decide(interval_make(F(24142, 10**4), F(24143, 10**4)), Budget(10)) is QueryResult.YES
+        assert charges and set(charges) == {0}
 
     def test_the_stream_factory_is_called_once_at_construction(self):
         calls = []
