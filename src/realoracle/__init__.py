@@ -7,7 +7,9 @@ provides constructors (rationals, n-th roots, bracketed zeros, Cauchy
 limits, least upper bounds), exact interval arithmetic combinators,
 ordering, refinement algorithms (bisection, mediants, continued fractions,
 best rational approximations, certified decimals), function oracles over
-base/wall rectangles, and an executable axiom suite.
+base/wall rectangles, and an executable axiom suite. The axiom suite
+(``axioms``) and the command line (``cli``) load on first use of one of
+their names, so importing the package loads the number core only.
 """
 
 __version__ = "0.1.0"
@@ -89,14 +91,27 @@ from .functions import (
     recip_extension,
     rect_decide,
 )
-from .axioms import (
-    AxiomReport,
-    Counterexample,
-    Verdict,
-    check_axioms,
-    format_reports,
-    replay,
-)
-from .cli import build_oracle, format_expr, parse_expr, run_command
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Tools built on the core, imported by __getattr__ when first named.
+_LAZY = {
+    "axioms": ("AxiomReport", "Counterexample", "Verdict", "check_axioms", "format_reports", "replay"),
+    "cli": ("build_oracle", "format_expr", "parse_expr", "run_command"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_HOME))
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    home = import_module(f"{__name__}.{module}")
+    value = globals()[name] = home if name == module else getattr(home, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .arithmetic import o_add, o_mul, o_neg, o_recip, o_sub
-from .axioms import Verdict, check_axioms
 from .constructors import ivt_oracle, nth_root_oracle, polynomial_sign, rational_oracle
 from .errors import (
     BudgetExhausted,
@@ -486,6 +485,9 @@ def _cmd_query(args, oracle: Oracle) -> int:
 
 
 def _cmd_check(args, oracle: Oracle) -> int:
+    # The only command that runs the axiom suite, so only it loads it.
+    from .axioms import Verdict, check_axioms
+
     reports = check_axioms(oracle, args.seed, args.samples, Budget(args.budget))
     for report in reports:
         print(str(report))

@@ -529,13 +529,11 @@ def lub_oracle(test: UpperBoundTest) -> Oracle:
     bound = as_rational(test.seed_bound)
     if not test.is_ub(bound):
         raise InvalidBounds(f"seed bound {format_rational(bound)} fails its own upper-bound test")
-    root: Optional[Fraction] = None
-    if test.is_ub(member):
-        # A member-side point that already bounds the set is the lub itself.
-        root = member
-    elif member > bound:
-        raise InvalidBounds(f"upper-bound test is not monotone: it fails at {format_rational(member)}, "
-                            f"above the seed bound {format_rational(bound)}")
+    if member > bound:
+        raise InvalidBounds(f"seed member {format_rational(member)} lies above "
+                            f"the seed bound {format_rational(bound)}")
+    # A member-side point that already bounds the set is the lub itself.
+    root = member if test.is_ub(member) else None
 
     def hint(point: Fraction) -> Optional[Placement]:
         return None if test.is_ub(point) else Placement.GREATER

@@ -322,6 +322,19 @@ class TestLubSeedOrder:
         with pytest.raises(InvalidBounds):
             lub_oracle(UpperBoundTest(is_ub=lambda u: u == 1, seed_member=F(2), seed_bound=F(1)))
 
+    def test_member_above_bound_rejected_before_it_is_tested(self):
+        # A monotone test holds at a member above the bound too; rooting
+        # that member would make 2 the lub of a set whose lub is 1.
+        asked = []
+
+        def is_ub(u):
+            asked.append(u)
+            return u >= 1
+
+        with pytest.raises(InvalidBounds, match="seed member 2 lies above the seed bound 1"):
+            lub_oracle(UpperBoundTest(is_ub=is_ub, seed_member=F(2), seed_bound=F(1)))
+        assert asked == [1]
+
 
 class TestIvtZeroCount:
     def test_bracket_with_three_zeros_rejected(self):

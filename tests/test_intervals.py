@@ -247,6 +247,14 @@ def _exact(q):
 
 _BIG = dyadic(2**5000 + 1, 4999)
 
+# Non-dyadic rationals whose denominators are products of 2, 3, 5 and 7, so
+# that two of them often share factors.
+_factored = st.builds(
+    F,
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.builds(lambda *powers: math.prod(p**e for p, e in zip((2, 3, 5, 7), powers)), *[st.integers(0, 6)] * 4),
+)
+
 
 class TestOrderPrimitives:
     """Interval order tests, sums and differences agree with the operators
@@ -356,6 +364,16 @@ class TestIntegerKernel:
             if w > 0:
                 assert (_narrow_verdict(i, w) is i) is (width <= w), (i, w)
                 assert (_narrow_verdict(i, w) is None) is (width > w)
+
+    @given(st.one_of(_factored, _points), st.one_of(_factored, _points))
+    @example(F(1, 6), F(-1, 6))  # sums to 0
+    @example(F(5, 12), F(7, 18))  # denominators share 6
+    @example(F(1, 3), _BIG)  # mixed dyadic and non-dyadic
+    @example(F(-7, 3 * 2**40), F(5, 9 * 2**38))
+    def test_sums_are_canonical_fractions(self, a, b):
+        a, b = F(a), F(b)
+        _same_fraction(_q_add(a, b), a + b)
+        _same_fraction(_q_add(a, -a), F(0))
 
     @given(_pooled(2))
     @example([_BIG, -_BIG])

@@ -1,12 +1,15 @@
 """Guards on how the package is put together, and on the pull schedule."""
 
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import realoracle
+from realoracle import axioms, cli
 from realoracle.arithmetic import CompareResult, compare, o_add, o_mul, o_neg, o_sub
 from realoracle.constructors import CauchySpec, cauchy_oracle, nth_root_oracle, rational_oracle
 from realoracle.errors import BudgetExhausted
@@ -56,6 +59,63 @@ def test_no_module_rebinds_a_variable_of_an_enclosing_function():
 def test_only_functions_module_cuts_to_a_claimed_region():
     # o_recip and apply build one claimed-region node, in functions.py.
     assert offenders("functions.py", r"\bclamp_to\(\w+,") == []
+
+
+# The package's public names; the tools' names resolve on first use.
+PUBLIC = [
+    "ArithOp", "AxiomReport", "Budget", "BudgetExhausted", "CFExpansion", "CauchySpec", "CompareResult",
+    "Counterexample", "DecimalEnclosure", "DomainEscape", "ExprSemanticError", "ExprSyntaxError", "FonsiSource",
+    "FunctionOracle", "IntervalRelation", "InvalidBounds", "InvalidBracket", "InvalidFonsi", "Oracle",
+    "OracleError", "Placement", "QueryResult", "RInterval", "Rational", "Rectangle", "SignFunction",
+    "UnsupportedDomain", "UpperBoundTest", "Verdict", "ZeroInDenominator", "ZeroWitnessInvalid", "apply",
+    "arithmetic", "as_rational", "axioms", "best_approx", "bisect_step", "build_oracle", "cauchy_oracle",
+    "cauchy_tail_enclosures", "check_axioms", "cli", "compare", "constructors", "errors", "format_expr",
+    "format_interval", "format_rational", "format_reports", "functions", "interval_arith", "interval_contains",
+    "interval_intersection", "interval_make", "interval_relate", "intervals", "iroot", "is_rooted", "ivt_oracle",
+    "lub_oracle", "mediant_expand", "nth_root_oracle", "o_abs", "o_add", "o_mul", "o_neg", "o_recip", "o_sub",
+    "oracle", "oracle_from_fonsi", "parse_expr", "parse_interval", "parse_rational", "poly_extension",
+    "polynomial_sign", "rational_oracle", "recip_extension", "record", "rect_decide", "refine", "replay",
+    "run_command", "to_decimal",
+]
+LAZY = {
+    axioms: ["AxiomReport", "Counterexample", "Verdict", "check_axioms", "format_reports", "replay"],
+    cli: ["build_oracle", "format_expr", "parse_expr", "run_command"],
+}
+
+
+def test_a_bare_import_loads_the_number_core_only():
+    # The axiom suite and the command line, and what only they use, load
+    # on first use of one of their names.
+    tools = ["realoracle.cli", "realoracle.axioms", "argparse", "json", "random"]
+    code = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import realoracle; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True).stdout.split()
+    assert "realoracle.functions" in loaded
+    assert [name for name in tools if name in loaded] == []
+
+
+def test_every_public_name_resolves_to_its_home():
+    assert realoracle.__all__ == PUBLIC
+    assert realoracle.axioms is axioms and realoracle.cli is cli
+    for home, names in LAZY.items():
+        for name in names:
+            assert getattr(realoracle, name) is getattr(home, name), name
+    star = {}
+    exec("from realoracle import *", star)
+    assert sorted(name for name in star if name != "__builtins__") == PUBLIC
+    assert set(PUBLIC) <= set(dir(realoracle))
+
+
+def test_an_unknown_name_names_the_module_and_the_attribute():
+    with pytest.raises(AttributeError, match="module 'realoracle' has no attribute 'no_such_name'"):
+        realoracle.no_such_name
+
+
+def test_no_core_module_imports_the_tools():
+    # The number core stands alone; only the package's __getattr__ and the
+    # tools themselves reach cli and axioms.
+    core = {"errors", "record", "intervals", "oracle", "constructors", "arithmetic", "refine", "functions"}
+    pattern = r"^\s*(from\s+\.(cli|axioms)\b|from\s+\.\s+import\b.*\b(cli|axioms)\b|import\s+realoracle\.(cli|axioms)\b)"
+    assert [hit for hit in offenders(None, pattern) if hit.split(".py:")[0] in core] == []
 
 
 class Counting:
