@@ -93,11 +93,11 @@ from .functions import (
 )
 
 # Tools built on the core, imported by __getattr__ when first named.
-_LAZY = {
-    "axioms": ("AxiomReport", "Counterexample", "Verdict", "check_axioms", "format_reports", "replay"),
-    "cli": ("build_oracle", "format_expr", "parse_expr", "run_command"),
+_HOME = {
+    "axioms": "axioms", "AxiomReport": "axioms", "Counterexample": "axioms", "Verdict": "axioms",
+    "check_axioms": "axioms", "format_reports": "axioms", "replay": "axioms",
+    "cli": "cli", "build_oracle": "cli", "format_expr": "cli", "parse_expr": "cli", "run_command": "cli",
 }
-_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_HOME))
 

@@ -125,11 +125,7 @@ def _q_neg(a: Fraction) -> Fraction:
 def _q_add(a: Fraction, b: Fraction) -> Fraction:
     na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
     if da & (da - 1) or db & (db - 1):
-        # Fraction's own gcd-reduced sum, without its operator dispatch.
-        g = gcd(da, db)
-        t = na * (db // g) + nb * (da // g)
-        g2 = gcd(t, g)
-        return _raw_fraction(t // g2, (da // g) * (db // g2))
+        return a + b
     ka, kb = da.bit_length() - 1, db.bit_length() - 1
     if ka >= kb:
         return dyadic((nb << (ka - kb)) + na, ka)
