@@ -4,8 +4,10 @@ Nine falsification-oriented checks: the five defining properties
 (consistency, existence, closed, rooted, interval separation) and the two
 equivalent replacement pairs (two point separation with disjointness;
 narrowing with intersection). Checks sample seeded pseudo-random rational
-intervals on a grid centred on the oracle's own refined interval, so
-boundary-adjacent queries are well represented. Each property is a
+intervals on a grid around the oracle's own refined interval, rounded
+outward onto the 2^-3 grid, so boundary-adjacent queries are well
+represented while a report's cost stays bounded by samples times budget,
+not by how far earlier queries refined the oracle. Each property is a
 generator of trial outcomes, and one driver, ``_sampled``, runs and judges
 them all.
 
@@ -24,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .intervals import RInterval, _interval_raw, _le, _raw_fraction
+from .intervals import RInterval, _interval_raw, _le, _raw_fraction, round_out
 from .oracle import Budget, Oracle, QueryResult
 from .record import Record
 
@@ -94,7 +96,12 @@ def _grid_index(grid: Sequence[Fraction], point: Fraction) -> int:
 
 
 class _Sampler:
-    """Seeded grid of rationals around the oracle's first refined interval.
+    """Seeded grid of rationals around the oracle's refined interval.
+
+    The base is ``refine(1/8)`` rounded outward onto the 2^-3 grid, so an
+    oracle that earlier queries refined far deeper samples on the same grid
+    as a fresh one, and the widths the checks ask for scale with the base,
+    not with the cached enclosure.
 
     Sampling works on grid indices; the grid is sorted and duplicate-free,
     so index order is value order and interval construction never needs a
@@ -112,6 +119,8 @@ class _Sampler:
             base = next(oracle.refiner(), None)
         if base is None:
             base = RInterval(Fraction(-1), Fraction(1))
+        # Still a superset of a Yes interval, so yes_indices stays sound.
+        base = round_out(base, 3)
         self.base = base
         span = base.width if base.width > 1 else Fraction(1)
         lo = base.lo - 2 * span
@@ -323,7 +332,12 @@ def _intersection(s: _Sampler) -> _Trials:
 def check_axioms(
     oracle: Oracle, sampler_seed: int, samples: int, budget: Budget
 ) -> List[AxiomReport]:
-    """Run all nine property checks; deterministic for a given seed."""
+    """Run all nine property checks; deterministic for a given seed.
+
+    Trials sample around the oracle's refined interval rounded onto the
+    2^-3 grid, and each trial asks a few questions capped by ``budget``, so
+    a call's cost is bounded by ``samples`` times ``budget``, not by how far
+    earlier queries refined the oracle."""
     if samples < 1:
         raise ValueError("need at least one sample")
     s = _Sampler(oracle, sampler_seed, budget)

@@ -247,9 +247,43 @@ class TestSamplingGrid:
     def test_integer_grid_equals_the_sorted_set(self):
         wide = narrow = 0
         for seed, (oracle, budget) in enumerate(self.oracles()):
+            known = oracle.enclosure
             sampler = _Sampler(oracle, seed, budget)
             want = sorted_set_grid(sampler.base, oracle.root)
             assert [(p.numerator, p.denominator) for p in sampler.grid] == [(p.numerator, p.denominator) for p in want]
             wide += sampler.base.width > 1
-            narrow += 0 < sampler.base.width <= F(1, 2**300)
+            if known is not None and 0 < known.width <= F(1, 2**300):
+                # A deep enclosure still samples around its 2^-3 cell.
+                base = sampler.base
+                assert base.width <= F(1, 4)
+                assert (8 * base.lo).denominator == (8 * base.hi).denominator == 1
+                assert base.lo <= known.lo and known.hi <= base.hi
+                narrow += 1
         assert wide >= 6 and narrow >= 6
+
+    def test_a_refined_leaf_samples_on_the_fresh_grid(self):
+        rng = random.Random(2027)
+        for seed in range(20):
+            for index in (2, 3, 5):
+                radicand = F(rng.randint(2, 500), rng.randint(1, 30))
+                deep = nth_root_oracle(index, radicand)
+                deep.refine(F(1, 2**300), Budget(10**4))
+                fresh = _Sampler(nth_root_oracle(index, radicand), seed, Budget(64))
+                assert _Sampler(deep, seed, Budget(64)).grid == fresh.grid
+
+
+def endpoint_bits(oracle):
+    e = oracle.enclosure
+    return max(abs(n).bit_length() for n in (e.lo.numerator, e.lo.denominator, e.hi.numerator, e.hi.denominator))
+
+
+class TestCostOverHistory:
+    def test_repeated_checks_do_not_deepen_the_oracle(self):
+        # Each call samples around the same 2^-3 cell, so after the first
+        # call its questions are served from the cache.
+        x = o_sub(o_mul(nth_root_oracle(2, 131), nth_root_oracle(3, 179)), nth_root_oracle(2, 173))
+        check_axioms(x, 1, 10, Budget(50))
+        first = endpoint_bits(x)
+        for seed in range(2, 301):
+            check_axioms(x, seed, 10, Budget(50))
+        assert endpoint_bits(x) <= first + 8
