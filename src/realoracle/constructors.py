@@ -56,8 +56,11 @@ def iroot(m: int, n: int) -> int:
         return 1
     if n == 2:
         return math.isqrt(m)
-    # Seed from a float logarithm, 2**-20 high: Newton then falls to the
-    # root in a few quadratic steps. The check keeps the seed an overshoot.
+    # Seed from a float logarithm, 2**-20 high; the check keeps it an
+    # overshoot. Above the floor a Newton step falls strictly, and never below
+    # it: the mean of n-1 copies of x and m/x**(n-1) is at least the root, and
+    # flooring inside the step keeps the floor of that mean. So Newton stops,
+    # in a few quadratic steps, exactly at the floor.
     shift = max(0, m.bit_length() - 64)
     lg = (math.log2(m >> shift) + shift) / n
     k = max(0, int(lg) - 52)
@@ -69,10 +72,6 @@ def iroot(m: int, n: int) -> int:
         if y >= x:
             break
         x = y
-    while x ** n > m:
-        x -= 1
-    while (x + 1) ** n <= m:
-        x += 1
     return x
 
 

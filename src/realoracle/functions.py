@@ -35,8 +35,9 @@ class FunctionOracle(Record):
     bases inside ``within``; a refinement that finds a modulus breaking
     this raises :class:`OracleError`. ``point`` evaluates the function
     exactly at a rational when that is possible, enabling definitive No
-    answers and rooted results. ``domain`` bounds where the extension is
-    defined; None means everywhere.
+    answers and rooted results. ``domain`` is the region that :func:`apply`
+    claims the argument lies in, and :func:`rect_decide` refuses a base
+    outside it; None means everywhere.
     """
 
     extension: Callable[[RInterval], RInterval]
@@ -71,10 +72,9 @@ def rect_decide(fn: FunctionOracle, rect: Rectangle, budget: Budget) -> QueryRes
         if wall.encloses(fn.extension(piece)):
             continue
         if piece.is_singleton:
+            # Only a point base has point pieces, and escapes(base.lo) passed.
             if fn.point is None:
                 return QueryResult.EXHAUSTED
-            if escapes(piece.lo):
-                return QueryResult.NO
             continue
         mid = piece.midpoint()
         if escapes(mid):
@@ -190,17 +190,14 @@ def poly_extension(coeffs) -> FunctionOracle:
 
 
 def recip_extension(domain: RInterval) -> FunctionOracle:
-    """Interval extension of x -> 1/x on a zero-free domain."""
+    """x -> 1/x claimed on a zero-free domain; its extension is exact on any zero-free base."""
     if domain.lo <= 0 <= domain.hi:
         raise ZeroInDenominator(f"reciprocal domain {domain} contains 0")
     least = min(abs(domain.lo), abs(domain.hi))
     least_sq = _q_mul(least, least)
 
     def extension(base: RInterval) -> RInterval:
-        clamped = base.intersection(domain)
-        if clamped is None:
-            raise DomainEscape(f"base {base} misses the domain {domain}")
-        return clamped.recip()
+        return base.recip()
 
     def point(t: Fraction) -> Fraction:
         return 1 / t

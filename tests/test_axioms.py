@@ -41,6 +41,26 @@ def broken_width_oracle():
     return BrokenWidthOracle(stream, label="broken(width>=1)")
 
 
+def stuck_at_unit():
+    stuck = interval_make(0, 1)
+    while True:
+        yield stuck
+
+
+class NarrowYesOracle(Oracle):
+    """Deliberately broken decide: Yes exactly when the width is below 1/4."""
+
+    def decide(self, interval, budget):
+        return QueryResult.YES if interval.width < F(1, 4) else QueryResult.NO
+
+
+class LooseRefineOracle(Oracle):
+    """Deliberately broken refine: -10**6:10**6 whatever width is asked."""
+
+    def refine(self, width, budget):
+        return interval_make(-(10**6), 10**6)
+
+
 class TestGoodOracles:
     def test_rational_passes_everything(self):
         reports = check_axioms(rational_oracle(F(1, 2)), 7, 500, Budget(64))
@@ -92,6 +112,22 @@ class TestBrokenOracle:
         reports = check_axioms(broken_width_oracle(), 7, 200, Budget(64))
         narrowing = next(r for r in reports if r.property_name == "Narrowing")
         assert narrowing.verdict is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "oracle,names",
+        [
+            (NarrowYesOracle(stuck_at_unit, label="narrow-yes"), ["Consistency", "Existence", "Rooted"]),
+            (LooseRefineOracle(stuck_at_unit, label="loose-refine"), ["TwoPointSeparation", "Narrowing"]),
+        ],
+        ids=["narrow-yes", "loose-refine"],
+    )
+    def test_each_property_can_be_falsified(self, oracle, names):
+        reports = {r.property_name: r for r in check_axioms(oracle, 7, 50, Budget(64))}
+        for name in names:
+            report = reports[name]
+            assert report.verdict is Verdict.FALSIFIED, report
+            cex = report.counterexample
+            assert replay(oracle, cex) == tuple(result for _, result in cex.queries)
 
 
 class TestDeterminism:

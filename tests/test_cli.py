@@ -409,6 +409,18 @@ class TestCommands:
         out = capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["cf", "approx"])
+    def test_a_boundary_number_exhausts_cf_and_approx(self, command, capsys):
+        assert run_command([command, "sqrt(2)*sqrt(2)", "--budget", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "budget exhausted: locate(2) on (root(2, 2) * root(2, 2)) unresolved within 10 steps\n"
+        )
+
+    def test_check_with_no_budget_is_inconclusive_and_exits_two(self, capsys):
+        assert run_command(["check", "sqrt(2)", "--budget", "0", "--samples", "5"]) == 2
+        verdicts = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines())
+        assert verdicts["TwoPointSeparation"] == verdicts["Narrowing"] == "Inconclusive"
+
     def test_best_approx_lies_inside_eval_enclosure(self, capsys):
         run_command(["eval", "sqrt(2)", "--digits", "10", "--json"])
         payload = json.loads(capsys.readouterr().out)

@@ -84,6 +84,12 @@ class TestIroot:
             for base in (2, 3**100, 2**500 + 1):
                 assert [iroot(base**n + d, n) for d in (-1, 0, 1)] == [base - 1, base, base]
 
+    def test_neighbours_of_exact_powers_at_high_indices(self):
+        # Newton from an overshooting seed must stop on the floor itself,
+        # on an exact power and on each side of it.
+        for n, base in ((300, 3**40), (300, 2**64 + 1), (2000, 12345), (2000, 2)):
+            m = base**n
+            assert [iroot(m + d, n) for d in (-1, 0, 1)] == [base - 1, base, base]
 
     def test_below_two_to_the_index_the_root_is_one(self):
         # No power of the index is formed: 3**(10**6) alone has 1.6M bits.

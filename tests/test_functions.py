@@ -134,6 +134,34 @@ class TestRectDecide:
             bigger = interval_make(wall.lo - 2, wall.hi + 3)
             assert rect_decide(fn, Rectangle(smaller, bigger), AMPLE) is QueryResult.YES
 
+    def test_a_midpoint_escaping_the_wall_is_no(self):
+        # Both ends square to 1, inside the wall; the midpoint 0 does not.
+        fn = poly_extension([0, 0, 1])
+        got = rect_decide(fn, Rectangle(interval_make(-1, 1), interval_make(F(1, 2), 2)), AMPLE)
+        assert got is QueryResult.NO
+
+    def test_a_base_outside_the_domain_raises(self):
+        fn = recip_extension(interval_make(1, 2))
+        with pytest.raises(DomainEscape):
+            rect_decide(fn, Rectangle(interval_make(3, 4), interval_make(0, 1)), AMPLE)
+
+    def test_a_point_base_under_a_loose_extension(self):
+        # The extension widens every base by 1 on each side, so a point
+        # base never extends into a narrow wall: only ``point`` can answer.
+        def loose(base):
+            return interval_make(base.lo - 1, base.hi + 1)
+
+        def modulus(width, within):
+            return width
+
+        with_point = FunctionOracle(loose, modulus, point=lambda t: t)
+        without = FunctionOracle(loose, modulus)
+        one, wall = RInterval(F(1), F(1)), interval_make(F(1, 2), F(3, 2))
+        assert rect_decide(with_point, Rectangle(one, wall), AMPLE) is QueryResult.YES
+        assert rect_decide(without, Rectangle(one, wall), AMPLE) is QueryResult.EXHAUSTED
+        five = RInterval(F(5), F(5))
+        assert rect_decide(with_point, Rectangle(five, wall), AMPLE) is QueryResult.NO
+
     def test_agreement_with_monotone_truth(self):
         rng = random.Random(17)
         for _ in range(300):
@@ -203,6 +231,15 @@ class TestApply:
     def test_recip_extension_rejects_zero_domain(self):
         with pytest.raises(ZeroInDenominator):
             recip_extension(interval_make(-1, 1))
+
+    def test_recip_extension_encloses_every_zero_free_base(self):
+        # The extension is exact on any base without 0, inside its domain
+        # or not, and refuses a base holding 0.
+        fn = recip_extension(interval_make(1, 2))
+        assert fn.extension(interval_make(F(1, 2), 2)) == interval_make(F(1, 2), 2)
+        assert fn.extension(interval_make(3, 4)) == interval_make(F(1, 4), F(1, 3))
+        with pytest.raises(ZeroInDenominator):
+            fn.extension(interval_make(-1, 1))
 
     def test_recip_modulus_guarantee(self):
         fn = recip_extension(interval_make(2, 5))
