@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .constructors import rational_oracle
 from .errors import ZeroWitnessInvalid
-from .functions import _CHECK_BUDGET, _claimed, recip_extension
+from .functions import _claimed, recip_extension
 from .intervals import RInterval, _le, mag_bits
-from .oracle import Budget, Oracle, Placement, QueryResult, node_oracle
+from .oracle import Budget, Oracle, Placement, node_oracle
 
 _ZERO = Fraction(0)
 
@@ -88,16 +88,13 @@ Oracle.__mul__, Oracle.__abs__ = o_mul, o_abs
 def o_recip(x: Oracle, witness: RInterval) -> Oracle:
     """Reciprocal of x, given a witness: a Yes interval of x excluding 0.
 
-    The node of ``apply(recip_extension(witness), x)``, labelled ``1/(x)``,
-    raising :class:`ZeroWitnessInvalid` where ``apply`` raises. The witness
-    is trusted and checked only by bounded queries: one containing zero, or
-    one x definitively excludes, is rejected here, and the rest as ``apply``
-    checks a domain (a one-point one must be met exactly).
+    The node of ``apply(recip_extension(witness), x)``, labelled ``1/(x)``.
+    It raises :class:`ZeroWitnessInvalid` on a witness containing zero, and
+    where ``apply`` raises: unless x decides the witness ``YES`` within a
+    bounded check.
     """
     if witness.lo <= 0 <= witness.hi:
         raise ZeroWitnessInvalid(f"witness {witness} contains 0")
-    if x.decide(witness, _CHECK_BUDGET) is QueryResult.NO:
-        raise ZeroWitnessInvalid(f"witness {witness} is not a Yes interval of {x.label}")
     return _claimed(recip_extension(witness), x, ZeroWitnessInvalid, f"1/({x.label})")
 
 

@@ -18,9 +18,9 @@ Expression grammar::
     RATIONAL := ["-"] INT ["/" INT]
 
 ``polyzero`` lists polynomial coefficients low to high, then the bracket
-endpoints. ``recip``'s zero-free witness ``lo:hi`` is trusted: it is checked
-only by a bounded query and by later refinements, and a one-point witness
-needs an exactly known operand. Division by a rational literal is exact,
+endpoints. ``recip``'s zero-free witness ``lo:hi`` must be a Yes interval of
+its operand, decided within a bounded check, or the build fails; so a
+one-point witness needs an exactly known operand. Division by a rational literal is exact,
 left to right; division by a compound expression is rejected with a hint to
 use ``recip`` with a witness interval. Nothing recurses: the parser is one
 loop over an explicit stack, and trees are walked by ``_fold``.
@@ -407,7 +407,7 @@ def _build_parser() -> _Argv:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("expr", help="expression, e.g. 'sqrt(2) + 1'; a recip(expr; lo:hi) witness is trusted")
+        p.add_argument("expr", help="expression, e.g. 'sqrt(2) + 1'; recip(expr; lo:hi) needs expr to decide lo:hi Yes")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help=f"refinement rounds per query (default {DEFAULT_BUDGET})")
 

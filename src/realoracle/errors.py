@@ -33,7 +33,7 @@ class InvalidBounds(OracleError):
 
 
 class ZeroWitnessInvalid(OracleError):
-    """A reciprocal witness interval contains zero or is provably not a Yes
+    """A reciprocal witness interval contains zero or is not decided a Yes
     interval of the operand."""
 
 
@@ -42,7 +42,8 @@ class BudgetExhausted(OracleError):
 
 
 class DomainEscape(OracleError):
-    """A refinement of the argument left the domain of a function oracle."""
+    """The argument of a function oracle does not decide its domain Yes,
+    or a rectangle's base leaves that domain."""
 
 
 class ExprSyntaxError(OracleError):

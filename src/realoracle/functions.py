@@ -15,8 +15,8 @@ from typing import Callable, List, Optional, Tuple
 
 from .constructors import rational_oracle
 from .errors import DomainEscape, OracleError, ZeroInDenominator
-from .intervals import RInterval, _le, _q_mul, as_rational, dyadic, format_rational, precision, target_bits
-from .oracle import Budget, Oracle, Placement, QueryResult, clamp_to, node_oracle
+from .intervals import RInterval, _q_mul, as_rational, dyadic, format_rational, target_bits
+from .oracle import Budget, Oracle, QueryResult, node_oracle
 from .record import Record
 
 
@@ -35,8 +35,8 @@ class FunctionOracle(Record):
     bases inside ``within``; a refinement that finds a modulus breaking
     this raises :class:`OracleError`. ``point`` evaluates the function
     exactly at a rational when that is possible, enabling definitive No
-    answers and rooted results. ``domain`` is the region that :func:`apply`
-    claims the argument lies in, and :func:`rect_decide` refuses a base
+    answers and rooted results. ``domain`` is a region the argument of
+    :func:`apply` must decide Yes, and :func:`rect_decide` refuses a base
     outside it; None means everywhere.
     """
 
@@ -87,46 +87,46 @@ def rect_decide(fn: FunctionOracle, rect: Rectangle, budget: Budget) -> QueryRes
     return QueryResult.YES
 
 
-# Bounds each up-front check of a claimed region.
+# Bounds the one check of a claimed region: the operand must decide it Yes
+# within this many steps. So a true region is refused when it ends exactly
+# at an unrooted number, or within about 2**-62 of a node's number.
 _CHECK_BUDGET = Budget(64)
 
 
 def _claimed(fn: FunctionOracle, x: Oracle, escape: type, label: str) -> Oracle:
-    """The node of f(x), x claimed to lie in ``fn.domain`` (None: anywhere).
+    """The node of f(x), for x in ``fn.domain`` (None: anywhere).
 
-    ``escape`` is raised when x is seen outside the region. A one-point
-    region must be met exactly: x must be rooted there, or locate EQUAL at
-    the point within the check budget, because cutting an enclosure to the
-    point would make up a root from a claim a later enclosure may refute.
+    The region must be a Yes interval of x: x decides it ``YES`` within the
+    check budget, or ``escape`` is raised, naming the answer. Then x lies in
+    the region and in each of its enclosures, so the image is the extension
+    of their intersection, which is sound whatever its width. A Yes on a
+    one-point region roots x there, and the result is then exact.
     """
     region = fn.domain
-    if region is not None and region.is_singleton and x.root is None:
-        if x.locate(region.lo, _CHECK_BUDGET) is not Placement.EQUAL:
-            raise escape(f"{x.label} is not known to equal the point {region} claimed for {fn.description}")
+    if region is not None:
+        answer = x.decide(region, _CHECK_BUDGET)
+        if answer is not QueryResult.YES:
+            said = "decided No" if answer is QueryResult.NO else f"not decided Yes within {_CHECK_BUDGET.steps} steps"
+            raise escape(f"the region {region} claimed for {fn.description} is {said} by {x.label}")
     root = x.root
     if root is not None and fn.point is not None:
-        if region is not None and not region.contains(root):
-            raise escape(f"{format_rational(root)} lies outside the region {region} claimed for {fn.description}")
         return rational_oracle(fn.point(root))
 
     def image(got: RInterval) -> RInterval:
         if region is not None:
-            cut = clamp_to(region, got)
-            if cut is None:
-                side = "below" if _le(got.hi, region.lo) else "above"
-                raise escape(f"refinement of {x.label} of width at most 2**{-precision(got)} lies {side} "
-                             f"the region {region} claimed for {fn.description}")
-            got = cut
+            got = got.intersection(region)
+            if got is None:  # only an operand that contradicts its own Yes
+                raise escape(f"{x.label} refines outside the region {region} it decided Yes for {fn.description}")
         return fn.extension(got)
 
     def split(bits: int, got: RInterval) -> Tuple[int]:
-        # Bases lie in the region, or else in x's enclosure; a cut to the
-        # region is at most twice as wide as x's enclosure.
+        # Bases lie in the region, or else in x's enclosure, and are never
+        # wider than x's enclosure.
         base = fn.modulus(dyadic(1, bits), got if region is None else region)
         base = base if isinstance(base, Fraction) else Fraction(base)
         if base.numerator <= 0:
             raise OracleError(f"modulus of {fn.description} gave the base width {base}, not a positive one")
-        return (target_bits(base) + (region is not None),)
+        return (target_bits(base),)
 
     return node_oracle((x,), image, label, split)
 
@@ -135,11 +135,11 @@ def apply(fn: FunctionOracle, x: Oracle) -> Oracle:
     """The oracle of f(x): walls of Yes rectangles whose base holds x.
 
     The result refines by extending x's refinements, and is rooted at
-    ``fn.point(root)`` when x is rooted and f has a ``point``. Raises
-    :class:`DomainEscape` when x is rooted outside the domain, misses a
-    one-point domain, or refines away from the domain. Otherwise the image
-    is the extension of x's enclosure cut to the domain (``clamp_to``), so a
-    domain ending exactly at an unrooted x refines but never roots it.
+    ``fn.point(root)`` when x is rooted and f has a ``point``. The domain
+    must be a Yes interval of x: construction raises :class:`DomainEscape`
+    unless x decides it ``YES`` within a bounded check (see ``_claimed``).
+    The image is then the extension of x's enclosure intersected with the
+    domain.
     """
     return _claimed(fn, x, DomainEscape, f"{fn.description}({x.label})")
 

@@ -325,20 +325,20 @@ class Oracle:
         aim: Optional[Callable[[Any], int]] = None,
         exact: Optional[Callable[[LocateHint, Any], Any]] = None,
     ) -> Any:
-        """Pull until ``verdict(enclosure, query)`` gives an answer, spending
-        at most ``steps``; None if none came. The cached enclosure is asked
+        """Pull until ``verdict(enclosure, query)`` gives an answer, spending at
+        most ``steps``; None if none came. The cached enclosure is asked
         first. Only when it leaves the question open does ``exact(hint,
-        query)`` ask the leaf's exact hint, once and at no cost, and only
-        when that is open too does a pull follow. The only loop that spends
-        budget, by one rule on leaves and nodes: aim at ``bits = aim(query)``
-        (computed at the first pull) while the enclosure misses it, else
-        gallop ``gain`` bits past its precision, ``gain`` starting at 8,
-        doubling, and capped by the steps left. So a question that needs d
-        bits takes about log2(d) pulls. A pass is charged at least one step;
-        one that took nothing from a leaf and left the enclosure as it was
-        ends the loop, so a query over streams that ended stops at once, and
-        a leaf whose stream ended pulls no more. Raises the stream's error
-        once it has raised one."""
+        query)`` ask the leaf's exact hint (through ``_place``), once and at
+        no cost, and only when that is open too does a pull follow. The only
+        loop that spends budget, by one rule on leaves and nodes: aim at
+        ``bits = aim(query)`` (computed at the first pull) while the enclosure
+        misses it, else gallop ``gain`` bits past its precision, ``gain``
+        starting at 8, doubling, and capped by the steps left. So a question
+        that needs d bits takes about log2(d) pulls. A pass is charged at
+        least one step; one that took nothing from a leaf and left the
+        enclosure as it was ends the loop, so a query over streams that ended
+        stops at once, and a leaf whose stream ended pulls no more. Raises the
+        stream's error once it has raised one."""
         if self._error is not None:
             raise self._error
         known, bits, gain = self._best, None, 8
@@ -348,7 +348,7 @@ class Oracle:
                 if answer is not None:
                     return answer
             if exact is not None and self._locate_hint is not None:
-                answer = exact(self._locate_hint, query)
+                answer = exact(self._place, query)
                 if answer is not None:
                     return answer
                 exact = None
@@ -366,6 +366,15 @@ class Oracle:
                 return None
             steps -= used or 1
 
+    def _place(self, point: Fraction) -> Optional[Placement]:
+        """The exact hint's placement of ``point``. An EQUAL roots the leaf
+        there, whichever query asked: the paper's Rooted property."""
+        placement = self._locate_hint(point)
+        if placement is Placement.EQUAL:
+            with self._lock:
+                self._best = _interval_raw(point, point)
+        return placement
+
     def refiner(self) -> Iterator[RInterval]:
         """Infinite stream of successively narrower Yes intervals. Each step
         draws one element from every leaf below, a shared one once."""
@@ -377,7 +386,9 @@ class Oracle:
         """Whether the number lies in ``interval``. The cached enclosure is
         asked first, then the leaf's exact hint, at no cost, and only then
         does the budget pay for pulls. So a callback runs only for a
-        question the enclosure cannot settle."""
+        question the enclosure cannot settle. A hint that places an end
+        of the interval EQUAL roots the leaf there, so a Yes to a one-point
+        interval does."""
         answer = self._settle(_decide_verdict, interval, budget.steps, exact=_hint_verdict)
         return QueryResult.EXHAUSTED if answer is None else answer
 
@@ -400,16 +411,13 @@ class Oracle:
         """Place the oracle's number relative to ``point``.
 
         GREATER means the number exceeds the point. EQUAL arises only when
-        the point is the root, via an exact hint or known root. As in
-        ``decide``, the cached enclosure is asked first, then the exact
-        hint, then the budget pays for pulls; a hint that cannot place the
-        point leaves the question to the stream.
+        the point is the root, via an exact hint (which roots the leaf) or
+        known root. As in ``decide``, the cached enclosure is asked first,
+        then the exact hint, then the budget pays for pulls; a hint that
+        cannot place the point leaves the question to the stream.
         """
         point = as_rational(point)
         answer = self._settle(_locate_verdict, point, budget.steps, exact=_hint_placement)
-        if answer is Placement.EQUAL and self.root is None:
-            with self._lock:
-                self._best = _interval_raw(point, point)
         return Placement.EXHAUSTED if answer is None else answer
 
 
@@ -439,27 +447,6 @@ def node_oracle(
     node.split = split
     node._height = 1 + max([op._height for op in node.operands])
     return node
-
-
-def clamp_to(region: RInterval, got: RInterval) -> Optional[RInterval]:
-    """An operand's enclosure ``got`` cut down to a region it is claimed to
-    lie in; None when the two are disjoint.
-
-    ``got`` itself when the region encloses it, else the part of the region
-    within ``got``'s width of ``got``. The cut holds ``got`` within the
-    region and is at most twice as wide as ``got``, and nested enclosures
-    give nested cuts. It is a point only when ``got`` or the region is one:
-    a cut to a point the operand did not reach would make up a root from a
-    claim a later enclosure may still refute. So a true claim ending exactly
-    at the number refines, though it never roots, and a false one is raised
-    once the operand leaves the region.
-    """
-    if region.encloses(got):
-        return got
-    if not region.intersects(got):
-        return None
-    width = got.width
-    return region.intersection(_interval_raw(got.lo - width, got.hi + width))
 
 
 def _hint_verdict(hint: LocateHint, interval: RInterval) -> Optional[QueryResult]:

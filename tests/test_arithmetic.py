@@ -15,11 +15,10 @@ from realoracle.arithmetic import (
     o_recip,
     o_sub,
 )
-from realoracle.constructors import UpperBoundTest, lub_oracle, nth_root_oracle, rational_oracle
+from realoracle.constructors import SignFunction, UpperBoundTest, ivt_oracle, lub_oracle, nth_root_oracle, rational_oracle
 from realoracle.errors import ZeroWitnessInvalid
 from realoracle.intervals import RInterval, interval_make
 from realoracle.oracle import Budget, QueryResult
-from realoracle.refine import to_decimal
 
 AMPLE = Budget(400)
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -105,15 +104,33 @@ class TestRecipWitness:
         with pytest.raises(ZeroWitnessInvalid):
             o_recip(sqrt2(), interval_make(3, 4))
 
-    def test_late_lie_raises_from_stream(self):
-        # [1, 7/5] is plausible at low budget but the operand leaves it.
-        lying = interval_make(F(141, 100), F(142, 100))
-        o = o_recip(sqrt2(), lying)
-        got = o.refine(F(1, 10**9), AMPLE)
-        assert got is not None  # actually a fine witness: sqrt2 inside
-        truly_lying = interval_make(F(142, 100), F(143, 100))
-        with pytest.raises(ZeroWitnessInvalid):
-            o_recip(sqrt2(), truly_lying).refine(F(1, 10**9), AMPLE)
+    def test_a_lie_is_refused_at_construction(self):
+        # [141/100, 142/100] holds sqrt2, so it is a fine witness. sqrt2
+        # decides [142/100, 143/100] No, so that lie is refused at once.
+        fine = o_recip(sqrt2(), interval_make(F(141, 100), F(142, 100)))
+        assert fine.refine(F(1, 10**9), AMPLE) is not None
+        with pytest.raises(ZeroWitnessInvalid, match="decided No"):
+            o_recip(sqrt2(), interval_make(F(142, 100), F(143, 100)))
+
+
+class TestLiesNearTheNumber:
+    """Lies that no bounded query refutes: the witness must be decided Yes."""
+
+    N, D, E = 2**101 - 1, 2**100, 2**100
+
+    def test_a_witness_ending_just_below_the_number_is_refused(self):
+        # 1:N/D ends 2^-100 below sqrt(2)*sqrt(2) = 2; trusted, it would
+        # make D/N:1 a Yes interval of the reciprocal 1/2.
+        x = o_mul(sqrt2(), sqrt2())
+        with pytest.raises(ZeroWitnessInvalid, match="not decided Yes within 64 steps"):
+            o_recip(x, interval_make(1, F(self.N, self.D))).decide(interval_make(F(self.D, self.N), 1), Budget(10))
+
+    def test_a_witness_on_the_wrong_side_of_zero_is_refused(self):
+        # The number is 2^-100 > 0, and -1:-2^-200 lies below 0; trusted, it
+        # would make -2^200:-1/2 a Yes interval of the reciprocal 2^100.
+        x = o_add(o_sub(o_mul(sqrt2(), sqrt2()), rational_oracle(2)), rational_oracle(F(1, self.E)))
+        with pytest.raises(ZeroWitnessInvalid, match="not decided Yes within 64 steps"):
+            o_recip(x, interval_make(-1, F(-1, self.E**2))).decide(interval_make(-self.E**2, F(-1, 2)), Budget(10))
 
 
 class TestCompare:
@@ -184,29 +201,36 @@ class TestOperatorSugar:
 
 
 class TestClampMakesNoRoot:
+    """A witness is proven before it narrows the operand, so no root is made
+    up from it."""
+
     def test_lying_witness_ending_at_a_truncation_raises(self):
-        # s is sqrt(2) truncated to 100 bits, so the witness 1:s ends just
-        # below the operand. Cutting the operand's enclosure s:s+2^-100 down
-        # to the witness leaves the point s, which must not become a root.
+        # s is sqrt(2) truncated to 100 bits, so the witness 1:s ends 2^-100
+        # below the operand, too close to refute within the check budget.
         s = F(math.isqrt(2 * 4**100), 2**100)
-        r = o_recip(o_mul(sqrt2(), rational_oracle(1)), interval_make(1, s))
-        with pytest.raises(ZeroWitnessInvalid):
-            to_decimal(r, 40, Budget(1000))
-        assert r.root is None
+        x = o_mul(sqrt2(), rational_oracle(1))
+        with pytest.raises(ZeroWitnessInvalid, match="not decided Yes"):
+            o_recip(x, interval_make(1, s))
+        assert x.root is None
 
     def test_true_witness_ending_at_the_value_still_refines(self):
-        # The bisection enclosures 1-2^-n:1 of the number 1 never reach the
-        # point 1, so every cut to the witness 1:2 is that point. The
-        # result refines towards 1 without being rooted there.
+        # An opaque sign's zero z decides the witness z:2 Yes by its exact
+        # hint, which places z EQUAL and so roots it: the result is 1/z.
+        z = 1 + F(1, 3**50)
+        x = ivt_oracle(SignFunction(lambda t: (t > z) - (t < z)), 1, 2)
+        r = o_recip(x, interval_make(z, 2))
+        assert x.root == z and r.root == 1 / z
+        assert r.refine(F(1, 10**30), Budget(200)) == interval_make(1 / z, 1 / z)
+        # The number 1, approached from below (the lub of u >= 1), never
+        # decides 1:2 Yes, so that true witness is refused.
         x = lub_oracle(UpperBoundTest(lambda u: u >= 1, F(0), F(2)))
-        r = o_recip(x, interval_make(1, 2))
-        got = r.refine(F(1, 10**6), Budget(100))
-        assert got is not None and got.lo <= 1 <= got.hi
-        assert r.root is None
+        with pytest.raises(ZeroWitnessInvalid, match="not decided Yes"):
+            o_recip(x, interval_make(1, 2))
+        assert x.root is None
 
     def test_cuts_to_a_point_stay_nested(self):
         x = lub_oracle(UpperBoundTest(lambda u: u >= 1, F(0), F(2)))
-        r = o_recip(x, interval_make(1, 3))
+        r = o_recip(x, interval_make(F(1, 2), 3))
         seen = [got for got, _ in zip(r.refiner(), range(40))]
         assert all(a.encloses(b) for a, b in zip(seen, seen[1:]))
         assert seen[-1].width < F(1, 10**9)

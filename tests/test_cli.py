@@ -265,15 +265,26 @@ class TestCommands:
         assert out.startswith("Exhausted") and "100" in out
 
     def test_a_late_lie_names_its_region_in_a_short_error_line(self, capsys):
-        # The witness ends 2**-100 short of the number 2; at 1000 digits the
-        # enclosure that leaves it has endpoints of thousands of digits.
+        # The witness ends 2**-100 short of the number 2, too close to refute
+        # within the check budget; it is refused before any digit is asked.
         region = f"1:{2**101 - 1}/{2**100}"
         code = run_command(["eval", f"recip(sqrt(2)*sqrt(2); {region})", "--digits", "1000"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         line = captured.err.splitlines()[0]
-        assert line.startswith("error:") and f"above the region {region}" in line
+        assert line.startswith("error:") and f"region {region} claimed for recip is not decided Yes within 64" in line
         assert line.count(region) == 1 and len(line) < 300
+
+    @pytest.mark.parametrize("expr, question", [
+        (f"recip(sqrt(2)*sqrt(2); 1:{2**101 - 1}/{2**100})", f"{2**100}/{2**101 - 1}:1"),
+        (f"recip(sqrt(2)*sqrt(2) - 2 + 1/{2**100}; -1:-1/{2**200})", f"-{2**200}:-1/2"),
+    ], ids=["just-below", "wrong-side-of-zero"])
+    def test_a_query_through_a_lying_witness_exits_one(self, capsys, expr, question):
+        # Trusted, either lie would answer Yes: no bounded query refutes it.
+        code = run_command(["query", expr, question])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "not decided Yes" in captured.err
 
     def test_query_with_a_point_witness_off_the_number_exits_one(self, capsys):
         # The number is 1/(2 + 2^-100); the witness 2:2 must not root it at 1/2.

@@ -224,9 +224,8 @@ class TestApply:
         fn = recip_extension(interval_make(1, 2))
         with pytest.raises(DomainEscape):
             apply(fn, rational_oracle(5))
-        drifting = apply(fn, nth_root_oracle(2, 10))  # about 3.16, outside [1,2]
-        with pytest.raises(DomainEscape):
-            drifting.refine(F(1, 4), AMPLE)
+        with pytest.raises(DomainEscape, match="decided No"):
+            apply(fn, nth_root_oracle(2, 10))  # about 3.16, outside [1,2]
 
     def test_recip_extension_rejects_zero_domain(self):
         with pytest.raises(ZeroInDenominator):
@@ -250,21 +249,25 @@ class TestApply:
 
 
 class TestApplyClampMakesNoRoot:
+    """A domain is proven before it narrows the argument, so no root is made
+    up from it."""
+
     def test_domain_ending_at_a_truncation_raises(self):
-        # The domain 1:s ends just below sqrt(2); an enclosure s:s+2^-100
-        # cut down to it must not pin the argument to s.
+        # The domain 1:s ends 2^-100 below sqrt(2), too close to refute
+        # within the check budget.
         s = F(math.isqrt(2 * 4**100), 2**100)
         x = o_mul(nth_root_oracle(2, 2), rational_oracle(1))
-        fx = apply(recip_extension(interval_make(1, s)), x)
-        with pytest.raises(DomainEscape):
-            fx.refine(F(1, 10**40), Budget(1000))
-        assert fx.root is None
+        with pytest.raises(DomainEscape, match="not decided Yes"):
+            apply(recip_extension(interval_make(1, s)), x)
+        assert x.root is None
 
     def test_domain_ending_at_the_argument_still_refines(self):
-        # x is 1, approached from below, so its enclosures only ever touch
-        # the domain 1:2 at the point 1.
+        # x is 1, approached from below, so it never decides the domain 1:2
+        # Yes, though it lies in it; 1/2:2 has margin, and the result refines.
         x = lub_oracle(UpperBoundTest(lambda u: u >= 1, F(0), F(2)))
-        fx = apply(recip_extension(interval_make(1, 2)), x)
+        with pytest.raises(DomainEscape, match="not decided Yes"):
+            apply(recip_extension(interval_make(1, 2)), x)
+        fx = apply(recip_extension(interval_make(F(1, 2), 2)), x)
         got = fx.refine(F(1, 10**6), Budget(100))
         assert got is not None and got.lo <= 1 <= got.hi
         assert fx.root is None

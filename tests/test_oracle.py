@@ -1,5 +1,4 @@
 import itertools
-import random
 import threading
 from fractions import Fraction as F
 
@@ -16,7 +15,6 @@ from realoracle.oracle import (
     Oracle,
     Placement,
     QueryResult,
-    clamp_to,
     is_rooted,
     oracle_from_fonsi,
 )
@@ -64,6 +62,17 @@ class TestDecide:
         # (3/2)**2 = 9/4 > 2, so the singleton lies above the square root of 2.
         sq2 = nth_root_oracle(2, 2)
         assert sq2.decide(RInterval(F(3, 2), F(3, 2)), Budget(0)) is QueryResult.NO
+
+    def test_a_yes_to_a_point_roots_the_oracle(self):
+        # An opaque sign's zero z = 1 + 3^-50 is past its rational-root probe,
+        # so the leaf starts unrooted; its exact hint decides z:z Yes.
+        z = 1 + F(1, 3**50)
+        x = ivt_oracle(SignFunction(lambda t: (t > z) - (t < z)), 1, 2)
+        other = z + F(1, 3**60)
+        assert x.decide(RInterval(other, other), Budget(10)) is QueryResult.NO
+        assert x.root is None
+        assert x.decide(RInterval(z, z), Budget(0)) is QueryResult.YES
+        assert x.root == z and x.enclosure == RInterval(z, z)
 
 
 class TestLocate:
@@ -324,56 +333,6 @@ class TestStreamsThatEndOrNeverStart:
         rooted = Oracle(factory, root=F(1, 3))
         assert rooted.refine(F(1, 2**10), AMPLE) == interval_make(F(1, 3), F(1, 3))
         assert calls == [1]
-
-
-def nested_around(rng, number):
-    """Nested enclosures of ``number``: each end moves towards it by none,
-    a quarter, ... or all of its distance, and an end that reaches the
-    number stays there."""
-    lo = number - F(rng.randint(0, 8), rng.randint(1, 4))
-    hi = number + F(rng.randint(1, 8), rng.randint(1, 4))
-    for _ in range(rng.randint(1, 12)):
-        yield RInterval(lo, hi)
-        lo = number - (number - lo) * F(rng.randint(0, 4), 4)
-        hi = number + (hi - number) * F(rng.randint(0, 4), 4)
-
-
-def claimed_region(rng, number):
-    """A region of positive width that holds ``number``, ends exactly at
-    it on either side, or misses it."""
-    a, b = F(rng.randint(1, 8), rng.randint(1, 4)), F(rng.randint(1, 8), rng.randint(1, 4))
-    return rng.choice([
-        RInterval(number - a, number + b),
-        RInterval(number, number + b), RInterval(number - a, number),
-        RInterval(number + a, number + a + b), RInterval(number - a - b, number - a),
-        RInterval(number + a / 64, number + b), RInterval(number - a, number - b / 64),
-    ])
-
-
-class TestClampTo:
-    def test_cuts_of_nested_enclosures(self):
-        rng = random.Random(2020)
-        for _ in range(3000):
-            number = F(rng.randint(-20, 20), rng.randint(1, 5))
-            region = claimed_region(rng, number)
-            history = []
-            for got in nested_around(rng, number):
-                cut = clamp_to(region, got)
-                history.append((got, cut))
-                meet = got.intersection(region)
-                assert (cut is None) == (meet is None), (region, got)
-                if cut is None:
-                    continue
-                assert region.encloses(cut) and cut.encloses(meet), (region, got, cut)
-                assert not cut.is_singleton or got.is_singleton, (region, got, cut)
-                assert cut.width <= 2 * got.width, (region, got, cut)
-                if len(history) > 1:
-                    assert history[-2][1].encloses(cut), (region, history)
-            # A fresh call, on a copy of the region and in the reverse
-            # order, cuts each enclosure as the sequence did.
-            fresh = RInterval(region.lo, region.hi)
-            for got, cut in reversed(history):
-                assert clamp_to(fresh, got) == cut, (region, got)
 
 
 class TestStickyErrors:

@@ -1,7 +1,8 @@
 """Seeded differential: budgeted decide, locate and compare on derived nodes
 (over root and rational leaves, and over zeros of polynomial signs on
-non-dyadic brackets, with or without function applications) and on leaves
-without an exact answer, against a deeply refined twin.
+non-dyadic brackets, with or without function applications, and through
+reciprocal witnesses and domains that may lie) and on leaves without an
+exact answer, against a deeply refined twin.
 
 Each tree is built twice from the same seed. The twin is refined to width
 2**-400, and every definitive answer of the other tree, at every budget,
@@ -200,6 +201,84 @@ def test_point_regions_root_exactly_or_are_refused():
             assert x.root is None, (seed, x.label)
             refused += 1
     assert exact > 50 and refused > 100, (exact, refused)
+
+
+def lying_region(rng: random.Random, deep: RInterval):
+    """A region that misses the number in ``deep`` by 2**-k, k from 20 to
+    120, below or above it; None when it holds 0."""
+    gap = F(1, 2 ** rng.randint(20, 120))
+    reach = abs(deep.midpoint()) * F(rng.randint(1, 15), 16)
+    if rng.random() < 0.5:
+        region = RInterval(deep.lo - gap - reach, deep.lo - gap)
+    else:
+        region = RInterval(deep.hi + gap, deep.hi + gap + reach)
+    return None if region.lo <= 0 <= region.hi else region
+
+
+def tiny_operand(rng: random.Random):
+    """``x*x - q + s*2**-k`` for x the square root of q, s = 1 or -1 and k
+    from 20 to 120: the number s*2**-k, whose enclosures straddle 0 for
+    long."""
+    q = F(rng.randint(2, 40), rng.randint(1, 6))
+    x = nth_root_oracle(2, q)
+    tiny = rng.choice((1, -1)) * F(1, 2 ** rng.randint(20, 120))
+    return o_add(o_sub(o_mul(x, x), rational_oracle(q)), rational_oracle(tiny))
+
+
+def drawn_operand(seed: int):
+    """The seed's case, its operand, and the generator the region is drawn
+    from: a true witness from ``clear_of_zero``, a near miss of a random
+    operand, or a region on either side of 0 of a tiny operand."""
+    rng = random.Random(seed)
+    case = rng.choice(("true", "near", "near", "tiny"))
+    x = tiny_operand(rng) if case == "tiny" else random_operand(rng, seed % 3, random_leaf_or_polyzero, APPLY_KINDS)
+    return case, x, rng
+
+
+def test_lying_regions_are_refused_or_answer_soundly():
+    # New seeds again. A witness or domain that misses the number by less
+    # than the check budget can see, or lies on the wrong side of 0 while
+    # the operand's enclosures still straddle it, must be refused at
+    # construction; trusted, it would make the reciprocal answer Yes to the
+    # region's own image. Whatever is built answers only what fits the
+    # reciprocal of the operand's deep twin, the image included.
+    refused = checked = 0
+    for seed in range(2000, 2400):
+        case, x, rng = drawn_operand(seed)
+        deep = drawn_operand(seed)[1].refine(DEEP, Budget(10**4))
+        if case == "true":
+            region = clear_of_zero(x)
+        elif case == "near":
+            region = lying_region(rng, deep)
+        else:
+            region = RInterval(F(1, 2 ** rng.randint(1, 300)), rng.randint(1, 8))
+            region = region if rng.random() < 0.5 else region.neg()
+        if region is None or deep.lo <= 0 <= deep.hi:
+            continue
+        deep = deep.recip()
+        if seed % 2:
+            build, escape = (lambda: o_recip(x, region)), ZeroWitnessInvalid
+        else:
+            build, escape = (lambda: apply(recip_extension(region), x)), DomainEscape
+        try:
+            node = build()
+        except escape:
+            refused += 1
+            continue
+        points, intervals = questions(random.Random(10**6 + seed), deep)
+        intervals.append(region.recip())
+        for steps in BUDGETS:
+            for point in points:
+                got = node.locate(point, Budget(steps))
+                if got is not Placement.EXHAUSTED:
+                    assert placement_fits(got, deep, point), (seed, node.label, point, steps)
+                    checked += 1
+            for interval in intervals:
+                got = node.decide(interval, Budget(steps))
+                if got is not QueryResult.EXHAUSTED:
+                    assert answer_fits(got, deep, interval), (seed, node.label, interval, steps)
+                    checked += 1
+    assert refused > 100 and checked > 1000, (refused, checked)
 
 
 def test_successive_enclosures_are_nested():

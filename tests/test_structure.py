@@ -56,11 +56,6 @@ def test_no_module_rebinds_a_variable_of_an_enclosing_function():
     assert offenders(None, r"\bnonlocal\b") == []
 
 
-def test_only_functions_module_cuts_to_a_claimed_region():
-    # o_recip and apply build one claimed-region node, in functions.py.
-    assert offenders("functions.py", r"\bclamp_to\(\w+,") == []
-
-
 # The package's public names; the tools' names resolve on first use.
 PUBLIC = [
     "ArithOp", "AxiomReport", "Budget", "BudgetExhausted", "CFExpansion", "CauchySpec", "CompareResult",
