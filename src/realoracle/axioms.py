@@ -26,7 +26,18 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .intervals import RInterval, _interval_raw, _le, _raw_fraction, round_out
+from .intervals import (
+    RInterval,
+    _interval_raw,
+    _le,
+    _narrow_verdict,
+    _q_half,
+    _q_mul,
+    _q_sub,
+    _raw_fraction,
+    dyadic,
+    round_out,
+)
 from .oracle import Budget, Oracle, QueryResult
 from .record import Record
 
@@ -105,12 +116,13 @@ class _Sampler:
 
     Sampling works on grid indices; the grid is sorted and duplicate-free,
     so index order is value order and interval construction never needs a
-    rational comparison.
+    rational comparison. Indices are drawn by ``below``, which is
+    ``randrange`` without its argument checks.
     """
 
     def __init__(self, oracle: Oracle, seed: int, budget: Budget):
         self.oracle = oracle
-        self.rng = random.Random(seed)
+        self._bits = random.Random(seed).getrandbits
         self.budget = budget
         base = oracle.refine(Fraction(1, 8), budget)
         if base is None:
@@ -155,20 +167,28 @@ class _Sampler:
     def cex(self, note: str, *queries: Tuple[RInterval, QueryResult]) -> Counterexample:
         return Counterexample(note, queries, self.budget)
 
+    def below(self, n: int) -> int:
+        """``random.Random(seed).randrange(n)`` for ``n >= 1``, drawn as
+        CPython 3.10 to 3.13 draw it: ``n.bit_length()`` random bits, drawn
+        again while they reach ``n``."""
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        return r
+
     def index(self) -> int:
-        return self.rng.randrange(self.count)
+        return self.below(self.count)
 
     def span_indices(self) -> Tuple[int, int]:
-        i = self.rng.randrange(self.count)
-        j = self.rng.randrange(self.count)
+        i = self.below(self.count)
+        j = self.below(self.count)
         return (i, j) if i <= j else (j, i)
 
     def yes_indices(self) -> Tuple[int, int]:
         # Supersets of the refined base are Yes for any consistent rule.
-        return (
-            self.rng.randrange(0, self.base_lo_idx + 1),
-            self.rng.randrange(self.base_hi_idx, self.count),
-        )
+        hi = self.base_hi_idx
+        return self.below(self.base_lo_idx + 1), hi + self.below(self.count - hi)
 
 
 # A trial yields None when it decided nothing (an Exhausted answer, or a
@@ -200,7 +220,7 @@ def _consistency(s: _Sampler) -> _Trials:
         if s.decide(inner) is not QueryResult.YES:
             yield None
             continue
-        outer = s.iv(s.rng.randrange(0, i + 1), s.rng.randrange(j, s.count))
+        outer = s.iv(s.below(i + 1), j + s.below(s.count - j))
         answer = s.decide(outer)
         yield None if answer is QueryResult.EXHAUSTED else (
             answer is not QueryResult.NO
@@ -252,9 +272,9 @@ def _separation(s: _Sampler) -> _Trials:
         if j - i < 2 or s.decide(s.iv(i, j)) is not QueryResult.YES:
             yield None
             continue
-        k = s.rng.randrange(i + 1, j)
+        k = i + 1 + s.below(j - i - 1)
         pieces = (s.iv(i, k), s.iv(k, k), s.iv(k, j))
-        answers = tuple(s.decide(p) for p in pieces)
+        answers = tuple(map(s.decide, pieces))
         if QueryResult.EXHAUSTED in answers:
             yield None
             continue
@@ -275,7 +295,8 @@ def _two_point(s: _Sampler) -> _Trials:
         if root is not None:
             witness: Optional[RInterval] = RInterval(root, root)
         else:
-            witness = s.oracle.refine(abs(c2 - c1) / 2, s.budget)
+            gap = _q_sub(c2, c1) if k1 < k2 else _q_sub(c1, c2)
+            witness = s.oracle.refine(_q_half(gap), s.budget)
         yield None if witness is None else (
             not (witness.contains(c1) and witness.contains(c2))
             or s.cex(f"every found Yes interval holds both {c1} and {c2}", (witness, QueryResult.YES))
@@ -284,7 +305,7 @@ def _two_point(s: _Sampler) -> _Trials:
 
 def _disjointness(s: _Sampler) -> _Trials:
     while True:
-        a, b, c, d = sorted(s.rng.randrange(s.count) for _ in range(4))
+        a, b, c, d = sorted([s.index(), s.index(), s.index(), s.index()])
         if b >= c:
             yield None
             continue
@@ -302,10 +323,10 @@ def _disjointness(s: _Sampler) -> _Trials:
 def _narrowing(s: _Sampler) -> _Trials:
     base = s.base.width or Fraction(1)
     while True:
-        length = base / (1 << s.rng.randrange(1, 16))
+        length = _q_mul(base, dyadic(1, 1 + s.below(15)))
         got = s.oracle.refine(length, s.budget)
         yield None if got is None else (
-            got.width <= length
+            _narrow_verdict(got, length) is not None
             or s.cex(f"refine produced width {got.width} above requested {length}", (got, QueryResult.YES))
         )
 

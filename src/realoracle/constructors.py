@@ -27,9 +27,10 @@ from .intervals import (
 from .oracle import LocateHint, Oracle, Placement, _meet, _stern_brocot
 from .record import Record
 
-# Stern-Brocot mediants probed, after the floor of the bracket, when hunting
-# a rational root of a zero of an opaque sign. Enough for shallow roots like
-# 1/3; deeper and irrational zeros burn the cap and stay unrooted.
+# Stern-Brocot points probed, after the floor of the bracket, when hunting
+# a rational root of a zero of an opaque sign. The descent gallops, so this
+# reaches roots like 1/3 or 1/1000; deeper and irrational zeros burn the cap
+# and stay unrooted.
 _ROOT_PROBE_STEPS = 32
 
 
@@ -387,8 +388,9 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
 
     The zero of a polynomial sign is the root iff it is rational: the
     rational-root test takes one candidate from ``f.coeffs``, and one call
-    of ``f.eval_sign`` decides it. An opaque sign's zero is the root when a
-    Stern-Brocot probe of ``_ROOT_PROBE_STEPS`` mediants reaches it.
+    of ``f.eval_sign`` decides it. An opaque sign's zero is the root when
+    the galloping Stern-Brocot descent lands on it within
+    ``_ROOT_PROBE_STEPS + 1`` sign calls.
     """
     lo, hi = as_rational(a), as_rational(b)
     if lo >= hi:
@@ -429,7 +431,7 @@ def ivt_oracle(f: SignFunction, a: RationalLike, b: RationalLike) -> Oracle:
     elif squarefree is None:
         # A rational zero within the probe's reach is where the descent lands.
         items = itertools.islice(_stern_brocot(hint, math.floor(lo)), _ROOT_PROBE_STEPS + 1)
-        root = next((_raw_fraction(p, q) for p, q, at in items if at is Placement.EQUAL), None)
+        root = next((_raw_fraction(p, q) for p, q, at, _ in items if at is Placement.EQUAL), None)
     else:
         root = _rational_zero(lo, hi, place, squarefree)
 

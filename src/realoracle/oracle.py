@@ -93,25 +93,64 @@ class Placement(Enum):
     EXHAUSTED = "Exhausted"
 
 
-def _stern_brocot(place: LocateHint, floor: int) -> Iterator[Tuple[int, int, Optional[Placement]]]:
-    """Stern-Brocot descent towards the number that ``place`` places.
+def _stern_brocot(
+    place: LocateHint, floor: int, limit: Optional[int] = None
+) -> Iterator[Tuple[int, int, Optional[Placement], Optional[int]]]:
+    """Galloping Stern-Brocot descent towards the number that ``place`` places.
 
-    Yields ``(p, q, place(p/q))`` for ``floor/1``, then for each mediant of
-    the frame ends, which start at ``floor/1`` and ``1/0``. GREATER moves
-    the lower end to the mediant and anything else the upper end, so the
-    first mediants sweep the integers upwards. Stops after the first EQUAL.
+    A run of the descent moves one end of the frame, which starts at
+    ``(floor - 1)/1`` and ``1/0``, across the points ``(a + t*b)`` (numerators
+    and denominators) of its moving end ``a`` and fixed end ``b``, while
+    they stay on one side of the number: GREATER moves the lower end,
+    anything else the upper one. Its length is a continued-fraction term,
+    the first run's counted from ``floor - 1``. A later run's first point
+    is the point where the run before it flipped. From its first point a
+    run gallops: it probes t = 2, 3, 5, 9, ... (t - 1 doubling) until the
+    side flips, then binary-searches between the last two. So a run of
+    term t probes at most ``min(t + 1, 2 * t.bit_length())`` points past
+    its first, and no point is probed twice.
+
+    Yields ``(p, q, place(p/q), term)`` for each probe, where ``term`` is
+    the term this probe settles, else None. An EQUAL settles its run,
+    counting the point, and ends the descent. Each GREATER probe lies above
+    every earlier one, and each other one below, so the last of each are
+    the frame. With ``limit``, no denominator above it is probed: the
+    descent ends where the next point would exceed it, the frame then being
+    the number's Farey neighbours of that order.
     """
-    pl, ql, ph, qh = floor, 1, 1, 0
-    placement = place(_raw_fraction(floor, 1))
-    yield floor, 1, placement
-    while placement is not Placement.EQUAL:
-        p, q = pl + ph, ql + qh
-        placement = place(_raw_fraction(p, q))
-        yield p, q, placement
-        if placement is Placement.GREATER:
-            pl, ql = p, q
-        else:
-            ph, qh = p, q
+    pa, qa, pb, qb = floor - 1, 1, 1, 0
+    up, low, offset = True, 0, floor - 1
+    while True:
+        # The run's points t <= low lie on its side, and high is the least
+        # point known off it.
+        high = None
+        top = None if limit is None or not qb else (limit - qa) // qb
+        while True:
+            if high is None:
+                t = max(2 * low - 1, low + 1)
+                if top is not None and t > top:
+                    if top <= low:
+                        return
+                    t = top
+            else:
+                t = (low + high) // 2
+            p, q = pa + t * pb, qa + t * qb
+            placement = place(_raw_fraction(p, q))
+            if placement is Placement.EQUAL:
+                yield p, q, placement, offset + t
+                return
+            if (placement is Placement.GREATER) == up:
+                low = t
+            else:
+                high = t
+            if high is not None and high - low == 1:
+                yield p, q, placement, offset + low
+                break
+            yield p, q, placement, None
+        # The flip point high is the next run's first point: its moving end
+        # is this run's fixed one, and its fixed end the last point at low.
+        pa, qa, pb, qb = pb, qb, pa + low * pb, qa + low * qb
+        up, low, offset = not up, 1, 0
 
 
 class Budget(Record):

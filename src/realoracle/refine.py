@@ -24,8 +24,9 @@ class CFExpansion(Record):
     ``terms[0]`` may be any integer, later terms are at least 1.
     ``exact_terminated`` is set when the traversal landed exactly on the
     number, in which case the last convergent is that rational. ``steps``
-    counts the mediants probed past the integer part (denominator above 1),
-    a quantity bounded by the sum of the terms on rational targets.
+    counts the points probed past the integer part (denominator above 1):
+    the galloping descent spends at most ``min(t + 1, 2 * t.bit_length())``
+    of them on each term t after the first.
     """
 
     terms: Tuple[int, ...]
@@ -79,7 +80,9 @@ def _locate_strict(oracle: Oracle, point: Fraction, budget: Budget) -> Placement
     return placement
 
 
-def _descent(oracle: Oracle, budget: Budget) -> Tuple[int, Iterator[Tuple[int, int, Optional[Placement]]]]:
+def _descent(
+    oracle: Oracle, budget: Budget, limit: Optional[int] = None
+) -> Tuple[int, Iterator[Tuple[int, int, Optional[Placement], Optional[int]]]]:
     # The floor of a width-1 enclosure, and the Stern-Brocot descent from it
     # placed by locate.
     anchor = oracle.refine(Fraction(1), budget)
@@ -88,34 +91,29 @@ def _descent(oracle: Oracle, budget: Budget) -> Tuple[int, Iterator[Tuple[int, i
             f"no width-1 enclosure of {oracle.label} within {budget.steps} steps"
         )
     floor = math.floor(anchor.lo)
-    return floor, _stern_brocot(lambda point: _locate_strict(oracle, point, budget), floor)
+    return floor, _stern_brocot(lambda point: _locate_strict(oracle, point, budget), floor, limit)
 
 
 def mediant_expand(oracle: Oracle, max_terms: int, budget: Budget) -> CFExpansion:
     """Up to ``max_terms`` continued-fraction terms of the oracle's number.
 
-    The terms are the runs of one placement in the Stern-Brocot descent; the
-    probe of the floor opens the run of GREATER moves that makes the integer
-    part. Landing exactly on a mediant adds one to the last run, which gives
-    the canonical expansion of the rational.
+    The terms are the runs of the galloping Stern-Brocot descent; the probe
+    of the floor opens the run of GREATER moves that makes the integer part.
+    Landing exactly on a point ends its run there, which gives the canonical
+    expansion of the rational.
     """
     if max_terms < 1:
         raise ValueError("need at least one term")
-    floor, descent = _descent(oracle, budget)
-    terms = [floor - 1]
-    run = Placement.GREATER
+    _, descent = _descent(oracle, budget)
+    terms: List[int] = []
     steps = 0
-    exact = False
-    for p, q, placement in descent:
+    for p, q, placement, term in descent:
         steps += q > 1
-        if placement is Placement.EQUAL or placement is run:
-            terms[-1] += 1
-            exact = placement is Placement.EQUAL
-        elif len(terms) == max_terms:
-            break
-        else:
-            terms.append(1)
-            run = placement
+        if term is not None:
+            terms.append(term)
+            if len(terms) == max_terms:
+                break
+    exact = placement is Placement.EQUAL
     convergents: List[Fraction] = []
     h, k, h_prev, k_prev = 1, 0, 0, 1
     for term in terms:
@@ -130,25 +128,25 @@ def best_approx(oracle: Oracle, max_denominator: int, budget: Budget) -> Fractio
     """The fraction with denominator at most ``max_denominator`` closest to
     the oracle's number.
 
-    The Stern-Brocot descent stops before its first mediant with a larger
-    denominator. Its frame ends are then the number's two Farey neighbours
-    of that order, and the exact midpoint locate picks the nearer; so at
-    most ``max_denominator + 3`` points are located. Equidistant ties go to
-    the smaller denominator, then the smaller numerator.
+    The galloping Stern-Brocot descent probes no larger denominator, and
+    stops where its next point would. Its frame ends are then the number's
+    two Farey neighbours of that order, and the exact midpoint locate picks
+    the nearer. So each term costs at most about twice its bit length in
+    located points, and the run that the bound cuts short at most about
+    twice the bound's. Equidistant ties go to the smaller denominator, then
+    the smaller numerator.
     """
     if max_denominator < 1:
         raise ValueError("denominator bound must be at least 1")
-    floor, descent = _descent(oracle, budget)
+    floor, descent = _descent(oracle, budget, max_denominator)
     lo, hi = (floor, 1), (1, 0)
-    for p, q, placement in descent:
+    for p, q, placement, _ in descent:
         if placement is Placement.EQUAL:
             return Fraction(p, q)
         if placement is Placement.GREATER:
             lo = (p, q)
         else:
             hi = (p, q)
-        if lo[1] + hi[1] > max_denominator:
-            break
     low, high = Fraction(*lo), Fraction(*hi)
     placement = _locate_strict(oracle, (low + high) / 2, budget)
     if placement is Placement.LESS:

@@ -198,8 +198,8 @@ class TestCriterion5:
             cf = mediant_expand(rational_oracle(q), 128, budget)
             assert cf.exact_terminated
             assert cf.convergents[-1] == q
-            assert cf.steps <= sum(euclid_cf(q))
-        ok(5, "100 random rationals recovered exactly within the term-sum step bound")
+            assert cf.steps <= sum(min(t + 1, 2 * t.bit_length()) for t in euclid_cf(q)[1:])
+        ok(5, "100 random rationals recovered exactly within the galloping step bound")
 
 
 def _tree_value_enclosure(node, enclosures):

@@ -308,6 +308,17 @@ class TestSamplingGrid:
                 assert _Sampler(deep, seed, Budget(64)).grid == fresh.grid
 
 
+class TestSamplerDraws:
+    def test_below_draws_as_randrange(self):
+        # The golden reports rest on the seeded stream: every index must be
+        # the one randrange would have drawn.
+        for seed in (0, 1, 7, 2024, 10**6 - 1):
+            sampler = _Sampler(rational_oracle(F(1, 3)), seed, Budget(4))
+            rng = random.Random(seed)
+            for _ in range(3):
+                assert [sampler.below(n) for n in range(1, 301)] == [rng.randrange(n) for n in range(1, 301)]
+
+
 def endpoint_bits(oracle):
     e = oracle.enclosure
     return max(abs(n).bit_length() for n in (e.lo.numerator, e.lo.denominator, e.hi.numerator, e.hi.denominator))

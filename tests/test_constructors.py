@@ -567,9 +567,9 @@ class TestOneExactTestPerLeaf:
         return [(iv.lo, iv.hi) for iv in itertools.islice(oracle.refiner(), count)]
 
     def test_ivt_refiner_is_plain_bisection(self):
-        # The zero 1/64 of an opaque sign is too deep for the construction-time
-        # probe, so the bisection lands on it at its sixth midpoint.
-        grid_point = SignFunction(polynomial_sign([F(-1, 64), 1]).eval_sign, "x - 1/64")
+        # The zero 1/2**20 of an opaque sign is too deep for the construction-time
+        # probe, so the bisection lands on it at its twentieth midpoint.
+        grid_point = SignFunction(polynomial_sign([F(-1, 2**20), 1]).eval_sign, "x - 1/2**20")
         cases = ((polynomial_sign([-2, 0, 0, 1]), 1, 2), (polynomial_sign([2, 0, 0, -1]), 1, 2), (grid_point, 0, 1))
         for sign, a, b in cases:
             o = ivt_oracle(sign, a, b)

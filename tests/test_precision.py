@@ -170,13 +170,13 @@ class TestZeroSeek:
 
     def test_a_grid_point_zero_ends_as_bisection_ends(self):
         def make():
-            return ivt_oracle(SignFunction(polynomial_sign([F(-1, 1024), 1]).eval_sign), 0, 1)
+            return ivt_oracle(SignFunction(polynomial_sign([F(-1, 2**20), 1]).eval_sign), 0, 1)
 
-        # Too deep for the probe of an opaque sign; bisection meets it at depth 10.
+        # Too deep for the probe of an opaque sign; bisection meets it at depth 20.
         assert make().root is None
         o = make()
-        assert o.refine(F(1, 2**2000), self.AMPLE) == RInterval(F(1, 1024), F(1, 1024)) == nth(make().refiner(), 10)
-        assert o.root == F(1, 1024)
+        assert o.refine(F(1, 2**2000), self.AMPLE) == RInterval(F(1, 2**20), F(1, 2**20)) == nth(make().refiner(), 20)
+        assert o.root == F(1, 2**20)
 
     def test_a_multiple_zero_agrees_with_bisection(self):
         def make():  # (x**2 - 2)**3

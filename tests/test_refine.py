@@ -144,7 +144,17 @@ class TestMediantExpand:
             q = F(rng.randint(1, 3000), rng.randint(1, 500))
             cf = mediant_expand(rational_oracle(q), 64, AMPLE)
             assert cf.exact_terminated and cf.convergents[-1] == q
-            assert cf.steps <= sum(euclid_cf(q))
+            assert cf.steps <= sum(min(t + 1, 2 * t.bit_length()) for t in euclid_cf(q)[1:])
+
+    def test_a_large_term_costs_about_twice_its_bit_length(self):
+        # sqrt(n**2 + 1) = [n; 2n, 2n, ...]. One probe per unit of a term
+        # would be 400000 probes for the first and about 6e10 for the second.
+        cf = mediant_expand(nth_root_oracle(2, 10**10 + 1), 3, Budget(10))
+        assert cf.terms == (100000, 200000, 200000)
+        assert cf.steps <= 100
+        cf = mediant_expand(nth_root_oracle(2, 10**20 + 1), 4, Budget(10))
+        assert cf.terms == (10**10, 2 * 10**10, 2 * 10**10, 2 * 10**10)
+        assert cf.steps <= 250
 
     def test_budget_exhaustion_on_derived_boundary(self):
         x = sqrt2()
@@ -250,8 +260,9 @@ def opaque_zero_rooted():
     return sorted(rooted)
 
 
-# Recorded from the two separate Stern-Brocot walks that the shared descent
-# replaced; every locate point is pinned.
+# Terms, convergents and exact flags recorded from the two separate
+# Stern-Brocot walks that the shared descent replaced; steps and locate
+# points from the galloping descent. Every locate point is pinned.
 DESCENT_EXPANSIONS = {
     '-22/7': {
         1: (
@@ -265,15 +276,15 @@ DESCENT_EXPANSIONS = {
             (-4, 1, 6),
             '-4 -3 -22/7',
             True,
-            6,
-            '-4 -3 -7/2 -10/3 -13/4 -16/5 -19/6 -22/7',
+            7,
+            '-4 -3 -7/2 -10/3 -13/4 -19/6 -31/10 -25/8 -22/7',
         ),
         12: (
             (-4, 1, 6),
             '-4 -3 -22/7',
             True,
-            6,
-            '-4 -3 -7/2 -10/3 -13/4 -16/5 -19/6 -22/7',
+            7,
+            '-4 -3 -7/2 -10/3 -13/4 -19/6 -31/10 -25/8 -22/7',
         ),
     },
     '5': {
@@ -397,11 +408,12 @@ DESCENT_EXPANSIONS = {
                 '41944/24529'
             ),
             False,
-            27,
+            30,
             (
-                '1 2 3/2 5/3 7/4 12/7 17/10 29/17 41/24 53/31 65/38 118/69 171/100 224/131 '
-                '395/231 566/331 737/431 1303/762 2040/1193 2777/1624 3514/2055 4251/2486 '
-                '4988/2917 9239/5403 14227/8320 23466/13723 32705/19126 41944/24529 51183/29932'
+                '1 2 3/2 5/3 7/4 12/7 17/10 29/17 41/24 65/38 53/31 118/69 171/100 277/162 '
+                '224/131 395/231 566/331 908/531 737/431 1303/762 2040/1193 2777/1624 4251/2486 '
+                '7199/4210 5725/3348 4988/2917 9239/5403 14227/8320 23466/13723 32705/19126 '
+                '51183/29932 41944/24529'
             ),
         ),
     },
@@ -417,8 +429,8 @@ DESCENT_EXPANSIONS = {
             (2, 10, 1),
             '2 21/10 23/11',
             False,
-            11,
-            '2 3 5/2 7/3 9/4 11/5 13/6 15/7 17/8 19/9 21/10 23/11 44/21',
+            9,
+            '2 3 5/2 7/3 11/5 19/9 35/17 27/13 23/11 21/10 44/21',
         ),
         12: (
             (2, 10, 1, 1, 2, 1, 3, 1, 1, 12, 3, 5),
@@ -427,13 +439,13 @@ DESCENT_EXPANSIONS = {
                 '50552/24135 269175/128512'
             ),
             False,
-            40,
+            37,
             (
-                '2 3 5/2 7/3 9/4 11/5 13/6 15/7 17/8 19/9 21/10 23/11 44/21 67/32 111/53 155/74'
-                ' 266/127 421/201 576/275 731/349 1307/624 2038/973 3345/1597 4652/2221 '
-                '5959/2845 7266/3469 8573/4093 9880/4717 11187/5341 12494/5965 13801/6589 '
-                '15108/7213 16415/7837 17722/8461 34137/16298 50552/24135 66967/31972 '
-                '117519/56107 168071/80242 218623/104377 269175/128512 319727/152647'
+                '2 3 5/2 7/3 11/5 19/9 35/17 27/13 23/11 21/10 44/21 67/32 111/53 155/74 266/127 '
+                '421/201 576/275 886/423 731/349 1307/624 2038/973 3345/1597 4652/2221 7266/3469 '
+                '12494/5965 22950/10957 17722/8461 15108/7213 16415/7837 34137/16298 50552/24135 '
+                '83382/39809 66967/31972 117519/56107 168071/80242 269175/128512 471383/225052 '
+                '370279/176782 319727/152647'
             ),
         ),
     },
@@ -449,8 +461,8 @@ DESCENT_EXPANSIONS = {
             (1, 2, 3),
             '1 3/2 10/7',
             False,
-            5,
-            '1 2 3/2 4/3 7/5 10/7 13/9',
+            6,
+            '1 2 3/2 4/3 7/5 10/7 16/11 13/9',
         ),
         12: (
             (1, 2, 3, 1, 4, 1, 5, 1, 1, 6, 2, 5),
@@ -459,12 +471,12 @@ DESCENT_EXPANSIONS = {
                 '73011/50623'
             ),
             False,
-            31,
+            34,
             (
-                '1 2 3/2 4/3 7/5 10/7 13/9 23/16 36/25 49/34 62/43 75/52 137/95 212/147 287/199'
-                ' 362/251 437/303 512/355 949/658 1461/1013 2410/1671 3359/2329 4308/2987 '
-                '5257/3645 6206/4303 7155/4961 13361/9264 19567/13567 32928/22831 46289/32095 '
-                '59650/41359 73011/50623 86372/59887'
+                '1 2 3/2 4/3 7/5 10/7 16/11 13/9 23/16 36/25 49/34 75/52 62/43 137/95 212/147 '
+                '287/199 437/303 737/511 587/407 512/355 949/658 1461/1013 2410/1671 3359/2329 '
+                '5257/3645 9053/6277 7155/4961 6206/4303 13361/9264 19567/13567 32928/22831 '
+                '46289/32095 73011/50623 126455/87679 99733/69151 86372/59887'
             ),
         ),
     },
@@ -481,7 +493,7 @@ DESCENT_EXPANSIONS = {
             '3 19/6 22/7',
             False,
             7,
-            '2 3 4 7/2 10/3 13/4 16/5 19/6 22/7 41/13',
+            '2 3 4 7/2 10/3 16/5 28/9 22/7 19/6 41/13',
         ),
         12: (
             (3, 6, 1, 5, 7, 1, 1, 4, 1, 38, 43, 1),
@@ -490,28 +502,16 @@ DESCENT_EXPANSIONS = {
                 '425032/135091 18287325/5812393 18712357/5947484'
             ),
             False,
-            108,
+            51,
             (
-                '2 3 4 7/2 10/3 13/4 16/5 19/6 22/7 41/13 63/20 85/27 107/34 129/41 151/48 '
-                '280/89 409/130 538/171 667/212 796/253 925/294 1054/335 1979/629 3033/964 '
-                '5012/1593 6991/2222 8970/2851 10949/3480 19919/6331 30868/9811 41817/13291 '
-                '52766/16771 63715/20251 74664/23731 85613/27211 96562/30691 107511/34171 '
-                '118460/37651 129409/41131 140358/44611 151307/48091 162256/51571 173205/55051 '
-                '184154/58531 195103/62011 206052/65491 217001/68971 227950/72451 238899/75931 '
-                '249848/79411 260797/82891 271746/86371 282695/89851 293644/93331 304593/96811 '
-                '315542/100291 326491/103771 337440/107251 348389/110731 359338/114211 '
-                '370287/117691 381236/121171 392185/124651 403134/128131 414083/131611 '
-                '425032/135091 435981/138571 861013/273662 1286045/408753 1711077/543844 '
-                '2136109/678935 2561141/814026 2986173/949117 3411205/1084208 3836237/1219299 '
-                '4261269/1354390 4686301/1489481 5111333/1624572 5536365/1759663 '
-                '5961397/1894754 6386429/2029845 6811461/2164936 7236493/2300027 '
-                '7661525/2435118 8086557/2570209 8511589/2705300 8936621/2840391 '
-                '9361653/2975482 9786685/3110573 10211717/3245664 10636749/3380755 '
-                '11061781/3515846 11486813/3650937 11911845/3786028 12336877/3921119 '
-                '12761909/4056210 13186941/4191301 13611973/4326392 14037005/4461483 '
-                '14462037/4596574 14887069/4731665 15312101/4866756 15737133/5001847 '
-                '16162165/5136938 16587197/5272029 17012229/5407120 17437261/5542211 '
-                '17862293/5677302 18287325/5812393 18712357/5947484 36999682/11759877'
+                '2 3 4 7/2 10/3 16/5 28/9 22/7 19/6 41/13 63/20 85/27 129/41 217/69 173/55 '
+                '151/48 280/89 409/130 667/212 1183/376 925/294 1054/335 1979/629 3033/964 '
+                '5012/1593 6991/2222 10949/3480 8970/2851 19919/6331 30868/9811 41817/13291 '
+                '63715/20251 107511/34171 195103/62011 370287/117691 720655/229051 545471/173371 '
+                '457879/145531 414083/131611 435981/138571 425032/135091 861013/273662 '
+                '1286045/408753 2136109/678935 3836237/1219299 7236493/2300027 14037005/4461483 '
+                '27638029/8784395 20837517/6622939 17437261/5542211 19137389/6082575 '
+                '18287325/5812393 18712357/5947484 36999682/11759877'
             ),
         ),
     },
@@ -527,6 +527,8 @@ DESCENT_BEST = {
     'lub': '1 3/2 3/2 10/7 13/9 75/52 949/658',
     'sqrt2+sqrt3': '3 3 3 22/7 22/7 129/41 1979/629',
 }
+# Recorded from the unit-step descent, which probed one point per unit of
+# each term.
 DESCENT_ROOTED = (
     '-40 -39 -38 -37 -36 -35 -34 -33 -32 -31 -30 -29 -28 -27 -26 -25 -24 -23 -22 -21 -20 -39/2 '
     '-19 -37/2 -18 -35/2 -17 -33/2 -16 -31/2 -15 -29/2 -14 -27/2 -40/3 -13 -38/3 -25/2 -37/3 '
@@ -566,7 +568,15 @@ class TestDescentGolden:
         assert got == DESCENT_BEST[name]
 
     def test_opaque_zero_probe(self):
-        assert " ".join(str(r) for r in opaque_zero_rooted()) == DESCENT_ROOTED
+        # The galloping probe reaches deeper within its 33 calls: it roots
+        # every rational the unit-step probe rooted, and 82 more.
+        rooted = [str(r) for r in opaque_zero_rooted()]
+        assert set(DESCENT_ROOTED.split()) <= set(rooted)
+        assert len(rooted) == 403
+
+    def test_opaque_zero_at_one_thousandth_is_rooted(self):
+        o = ivt_oracle(SignFunction(lambda x: (x > F(1, 1000)) - (x < F(1, 1000))), -1, 2)
+        assert o.root == F(1, 1000)
 
 
 class TestBestApproxCost:
@@ -580,6 +590,15 @@ class TestBestApproxCost:
             points = recorded(o)
             assert best_approx(o, n, Budget(10)) == 100000
             assert len(points) <= n + 3
+
+    def test_an_overflowing_term_costs_about_the_bounds_bit_length(self):
+        # The run of 200000 stops at the bound, reached by a gallop, not walked.
+        near = F(math.isqrt((10**10 + 1) * 10**60), 10**30)
+        for n, most in ((1000, 40), (10**6, 80)):
+            o = nth_root_oracle(2, 10**10 + 1)
+            points = recorded(o)
+            assert best_approx(o, n, Budget(10)) == near.limit_denominator(n)
+            assert len(points) <= most
 
     @staticmethod
     def brute_force(side, floor_times, limit):
